@@ -118,6 +118,8 @@ def _cmd_bench(args) -> int:
         default_iters = SUITE_ITERATIONS["suite2"] if instances[0].name.startswith("II") else SUITE_ITERATIONS["suite1"]
     if args.reps < 1:
         raise ParseError(f"--reps must be at least 1, got {args.reps}")
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     hp = _hyperparameters(args, default_iters=default_iters)
 
     summaries, report = run_bench(

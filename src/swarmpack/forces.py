@@ -17,10 +17,11 @@ matter how the overlapping pairs were found.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
-from .geometry import center_of_gravity
+from .geometry import Contacts, center_of_gravity, contact_pairs
 from .model import Hyperparameters, InvalidInputError, ProblemInstance, SwarmState
 
 # A pair triggers the separation push when the centers are closer than the
@@ -30,92 +31,29 @@ from .model import Hyperparameters, InvalidInputError, ProblemInstance, SwarmSta
 OVERLAP_TRIGGER_EPS = 1e-12
 CONTAINMENT_EPS = 1e-12
 
-# Below this swarm size the all-pairs sweep beats the grid's bucketing
-# overhead (measured on the embedded instances, all of which sit under it).
-GRID_AUTO_THRESHOLD = 1024
 
-
-def find_overlap_pairs(positions, radii, method: str = "auto") -> np.ndarray:
+def find_overlap_pairs(
+    positions, radii, method: str = "auto", *, contacts: Optional[Contacts] = None
+) -> np.ndarray:
     """Directed overlapping pairs as an (E, 2) int array sorted by (i, j).
 
-    ``naive`` tests every pair; ``grid`` buckets circles into cells of side
-    2*max(radii) and only tests the 3x3 neighborhood, which misses nothing
-    because no triggering pair is farther apart than one cell side. Both
-    return identical arrays; ``auto`` picks by swarm size.
+    A pair overlaps when its center distance is below the radius sum minus
+    OVERLAP_TRIGGER_EPS. The candidates are ``contacts``, this layout's
+    ``contact_pairs`` result, when the caller already has it; otherwise the
+    pair search runs here with ``method`` (``naive``, ``grid`` or ``auto``).
     """
     p = np.asarray(positions, dtype=float)
     r = np.asarray(radii, dtype=float)
-    if method == "auto":
-        method = "naive" if p.shape[0] <= GRID_AUTO_THRESHOLD else "grid"
-    if method == "naive":
-        upper = _upper_hits_naive(p, r)
-    elif method == "grid":
-        upper = _upper_hits_grid(p, r)
-    else:
-        raise InvalidInputError(f"unknown pair-finding method {method!r}")
-    return _directed_sorted(upper)
+    i, j, d = contacts if contacts is not None else contact_pairs(p, r, method)
+    hit = d < r[i] + r[j] - OVERLAP_TRIGGER_EPS
+    return _directed_sorted(i[hit], j[hit])
 
 
-def _triggers(p, r, iu, ju):
-    # One shared predicate evaluation so every method agrees bitwise.
-    diff = p[ju] - p[iu]
-    d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
-    return d < r[iu] + r[ju] - OVERLAP_TRIGGER_EPS
-
-
-def _upper_hits_naive(p, r):
-    n = p.shape[0]
-    if n < 2:
+def _directed_sorted(i, j):
+    if i.shape[0] == 0:
         return np.empty((0, 2), dtype=np.int64)
-    iu, ju = np.triu_indices(n, k=1)
-    hit = _triggers(p, r, iu, ju)
-    return np.stack([iu[hit], ju[hit]], axis=1)
-
-
-def _upper_hits_grid(p, r):
-    n = p.shape[0]
-    if n < 2:
-        return np.empty((0, 2), dtype=np.int64)
-    cell = 2.0 * float(np.max(r))
-    coords = np.floor(p / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx in range(n):
-        buckets.setdefault((int(coords[idx, 0]), int(coords[idx, 1])), []).append(idx)
-
-    cand_i: list[int] = []
-    cand_j: list[int] = []
-    # Forward half of the 3x3 neighborhood; together with same-cell pairs
-    # this visits every unordered neighbor pair exactly once.
-    forward = ((1, -1), (1, 0), (1, 1), (0, 1))
-    for (cx, cy), members in buckets.items():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                cand_i.append(members[a])
-                cand_j.append(members[b])
-        for ox, oy in forward:
-            other = buckets.get((cx + ox, cy + oy))
-            if other:
-                for a in members:
-                    for b in other:
-                        cand_i.append(a)
-                        cand_j.append(b)
-    if not cand_i:
-        return np.empty((0, 2), dtype=np.int64)
-    raw_i = np.asarray(cand_i, dtype=np.int64)
-    raw_j = np.asarray(cand_j, dtype=np.int64)
-    # Normalize to i < j so the predicate sees the same operand order as
-    # the all-pairs sweep.
-    iu = np.minimum(raw_i, raw_j)
-    ju = np.maximum(raw_i, raw_j)
-    hit = _triggers(p, r, iu, ju)
-    return np.stack([iu[hit], ju[hit]], axis=1)
-
-
-def _directed_sorted(upper):
-    if upper.shape[0] == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    src = np.concatenate([upper[:, 0], upper[:, 1]])
-    dst = np.concatenate([upper[:, 1], upper[:, 0]])
+    src = np.concatenate([i, j])
+    dst = np.concatenate([j, i])
     order = np.lexsort((dst, src))
     return np.stack([src[order], dst[order]], axis=1)
 
@@ -127,8 +65,13 @@ def assemble_forces(
     target_radius: float,
     hp: Hyperparameters,
     method: str = "auto",
+    *,
+    contacts: Optional[Contacts] = None,
 ) -> np.ndarray:
-    """Capped resultant force on every circle, as an (N, 2) array."""
+    """Capped resultant force on every circle, as an (N, 2) array.
+
+    ``contacts`` and ``method`` pass through to ``find_overlap_pairs``.
+    """
     p = state.positions
     v = state.velocities
     r = instance.radii
@@ -137,7 +80,7 @@ def assemble_forces(
 
     total = np.zeros((n, 2))
 
-    pairs = find_overlap_pairs(p, r, method)
+    pairs = find_overlap_pairs(p, r, method, contacts=contacts)
     if pairs.shape[0]:
         src, dst = pairs[:, 0], pairs[:, 1]
         delta = p[dst] - p[src]

@@ -1,4 +1,4 @@
-"""Planar circle geometry: lens areas, gravity centers, enclosing radii.
+"""Planar circle geometry: contact pairs, lens areas, gravity centers, enclosing radii.
 
 Points are float64 arrays of shape (2,) and point sets are arrays of shape
 (N, 2); the Point2/Disk dataclasses are thin wrappers for single-shape call
@@ -10,8 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
+
+from .model import InvalidInputError
 
 
 class InvalidGeometryError(ValueError):
@@ -105,22 +108,112 @@ def _as_points(positions) -> np.ndarray:
     return p
 
 
-def total_overlap(positions, radii) -> float:
-    """Sum of lens areas over all unordered pairs; zero when all disjoint."""
-    p = _as_points(positions)
+def _as_radii(radii, p) -> np.ndarray:
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.shape[0] != p.shape[0]:
         raise InvalidGeometryError("positions and radii lengths differ")
+    return r
+
+
+# Swarm size from which ``contact_pairs`` uses the cell list instead of the
+# all-pairs sweep: the measured crossover. Per contact pass on packed II3
+# subsets (2-vCPU VM, numpy 2.4), all-pairs vs cell list took 28 vs 33 us at
+# N=56, 33 vs 35 at N=64, 42 vs 36 at N=72 and 74 vs 40 at N=100; on the
+# same layouts spread twice as wide the cell list wins from N=60.
+GRID_AUTO_THRESHOLD = 64
+
+
+class Contacts(NamedTuple):
+    """Overlapping pairs i < j (d < r_i + r_j) sorted by (i, j), with distances d."""
+
+    i: np.ndarray
+    j: np.ndarray
+    d: np.ndarray
+
+
+def contact_pairs(positions, radii, method: str = "auto") -> Contacts:
+    """The one pair search per layout; overlap sums and force triggers filter it.
+
+    ``naive`` tests every pair; ``grid`` tests only pairs from neighboring
+    cells of a cell list. Both return bitwise-identical arrays because the
+    distance of a pair is computed the same way whichever search found it;
+    ``auto`` picks by swarm size.
+    """
+    p = _as_points(positions)
+    r = _as_radii(radii, p)
     n = p.shape[0]
-    if n < 2:
-        return 0.0
-    iu, ju = _upper_pairs(n)
+    if method == "auto":
+        method = "grid" if n >= GRID_AUTO_THRESHOLD else "naive"
+    if method == "naive":
+        return _touching(p, r, *_upper_pairs(n))
+    if method == "grid":
+        return _cell_list_contacts(p, r)
+    raise InvalidInputError(f"unknown pair-finding method {method!r}")
+
+
+def _touching(p, r, iu, ju) -> Contacts:
     diff = p[ju] - p[iu]
     d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
     hit = d < r[iu] + r[ju]
-    if not np.any(hit):
+    return Contacts(iu[hit], ju[hit], d[hit])
+
+
+def _cell_list_contacts(p, r) -> Contacts:
+    # Sort-based cell list: a pair within reach sits in the same or adjacent
+    # cells, so each circle scans three ranges of sorted cell keys, one per
+    # neighboring column, each covering three rows.
+    n = p.shape[0]
+    reach = 2.0 * float(np.max(r)) if n else 0.0
+    scale = float(np.max(np.abs(p))) if n else 0.0
+    if n < 2 or not (reach > 0.0 and math.isfinite(reach + scale)):
+        # No cell grid to build; all pairs gives the same answer.
+        return _touching(p, r, *_upper_pairs(n))
+    # p / cell rounds with an error that grows with |p| / cell; the margin
+    # keeps a pair just inside reach from landing two cells apart.
+    cell = reach * (1.0 + 16.0 * np.finfo(float).eps * (1.0 + scale / reach))
+    cells = np.floor(p / cell)
+    cells -= cells.min(axis=0) - 1.0
+    if (cells[:, 0].max() + 2.0) * (cells[:, 1].max() + 2.0) >= 2.0**62:
+        # A flattened cell key would overflow int64: renumber the occupied
+        # columns and rows, keeping neighbors adjacent and gaps two wide.
+        cells = np.stack([_squeeze_axis(cells[:, 0]), _squeeze_axis(cells[:, 1])], axis=1)
+    cells = cells.astype(np.int64)
+    height = int(cells[:, 1].max()) + 2
+    key = cells[:, 0] * height + cells[:, 1]
+    order = np.argsort(key)
+    sorted_key = key[order]
+
+    column = (key[:, None] + np.array([-height, 0, height])).ravel()
+    lo = np.searchsorted(sorted_key, column - 1, side="left")
+    hi = np.searchsorted(sorted_key, column + 1, side="right")
+    counts = hi - lo
+    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    ci = np.repeat(np.repeat(np.arange(n), 3), counts)
+    cj = order[np.arange(first.shape[0]) + first]
+    upper = ci < cj
+    found = _touching(p, r, ci[upper], cj[upper])
+    by_pair = np.argsort(found.i * n + found.j)
+    return Contacts(found.i[by_pair], found.j[by_pair], found.d[by_pair])
+
+
+def _squeeze_axis(c):
+    values, inverse = np.unique(c, return_inverse=True)
+    steps = np.minimum(np.diff(values), 2.0)
+    return np.concatenate(([1.0], 1.0 + np.cumsum(steps)))[inverse]
+
+
+def total_overlap(positions, radii, *, contacts: Optional[Contacts] = None) -> float:
+    """Sum of lens areas over all unordered pairs; zero when all disjoint.
+
+    ``contacts`` is this layout's ``contact_pairs`` result, when the caller
+    already has it; otherwise the pair search runs here.
+    """
+    p = _as_points(positions)
+    r = _as_radii(radii, p)
+    i, j, d = contacts if contacts is not None else contact_pairs(p, r)
+    if d.shape[0] == 0:
         return 0.0
-    return float(np.sum(lens_area_from_distance(d[hit], r[iu][hit], r[ju][hit])))
+    return float(np.sum(lens_area_from_distance(d, r[i], r[j])))
 
 
 def center_of_gravity(positions, masses) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 One iteration: assemble forces against the current target radius (container
 anchored at the origin), step the dynamics, then judge the new layout. A
+single pair search per layout (``contact_pairs``) serves both the overlap
+sum that judges it and the separation forces of the next iteration. A
 layout is feasible when its total overlap is inside tolerance and the
 enclosing radius measured about its own gravity center fits the target. Each
 feasible layout ratchets the target down via the schedule; the smallest
@@ -18,7 +20,7 @@ import numpy as np
 
 from .dynamics import integrate_step
 from .forces import assemble_forces
-from .geometry import center_of_gravity, enclosing_radius, total_overlap
+from .geometry import Contacts, center_of_gravity, contact_pairs, enclosing_radius, total_overlap
 from .init import initial_state
 from .model import (
     Hyperparameters,
@@ -44,8 +46,14 @@ class NoMilestonesError(RuntimeError):
     """Milestones were requested for a run that never became feasible."""
 
 
-def _evaluate(state: SwarmState, instance: ProblemInstance, target_radius: float, overlap_tol: float):
-    overlap = total_overlap(state.positions, instance.radii)
+def _evaluate(
+    state: SwarmState,
+    instance: ProblemInstance,
+    target_radius: float,
+    overlap_tol: float,
+    contacts: Optional[Contacts] = None,
+):
+    overlap = total_overlap(state.positions, instance.radii, contacts=contacts)
     cg = center_of_gravity(state.positions, instance.masses)
     cgv = math.sqrt(cg[0] * cg[0] + cg[1] * cg[1])
     encl = enclosing_radius(state.positions, instance.radii, cg)
@@ -80,7 +88,10 @@ def solve(
     state, schedule = initial_state(instance, hp)
     overlap_tol = hp.resolved_overlap_tol(instance)
     origin = np.zeros(2)
+    radii = instance.radii
     masses = instance.masses
+    # Also rejects an unknown method before the first iteration.
+    contacts = contact_pairs(state.positions, radii, method)
 
     history: list[IterationRecord] = []
     best_radius: Optional[float] = None
@@ -89,9 +100,10 @@ def solve(
 
     for t in range(1, hp.n_it + 1):
         target = schedule.target_radius
-        forces = assemble_forces(state, instance, origin, target, hp, method=method)
+        forces = assemble_forces(state, instance, origin, target, hp, contacts=contacts)
         state = integrate_step(state, forces, masses, hp)
-        overlap, cgv, encl, feasible = _evaluate(state, instance, target, overlap_tol)
+        contacts = contact_pairs(state.positions, radii, method)
+        overlap, cgv, encl, feasible = _evaluate(state, instance, target, overlap_tol, contacts)
         record = IterationRecord(
             iteration=t,
             target_radius=target,

@@ -144,6 +144,12 @@ def test_bench_rejects_bad_reps(capsys):
     capsys.readouterr()
 
 
+def test_bench_rejects_bad_jobs(capsys):
+    for jobs in ("0", "-3"):
+        assert run("bench", "I1", "--reps", "1", "--jobs", jobs) == EXIT_USAGE
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
 def test_export_round_trips_a_result(tmp_path, capsys):
     result_path = tmp_path / "run.json"
     svg_path = tmp_path / "run.svg"

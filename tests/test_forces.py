@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmpack.geometry import cg_violation
+from swarmpack.geometry import GRID_AUTO_THRESHOLD, cg_violation, contact_pairs, total_overlap
 from swarmpack.forces import (
     OVERLAP_TRIGGER_EPS,
     assemble_forces,
@@ -59,16 +59,34 @@ def test_pairs_are_directed_and_lexsorted():
     assert pairs.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
 
 
-def test_grid_and_naive_agree_on_random_states():
+def broad_phase_layouts():
     rng = np.random.default_rng(10)
     for _ in range(40):
         n = int(rng.integers(2, 120))
         spread = float(rng.uniform(1.0, 30.0))
-        positions = rng.uniform(-spread, spread, (n, 2))
-        radii = rng.uniform(0.2, 3.0, n)
-        naive = find_overlap_pairs(positions, radii, method="naive")
-        grid = find_overlap_pairs(positions, radii, method="grid")
-        assert naive.tobytes() == grid.tobytes()
+        yield rng.uniform(-spread, spread, (n, 2)), rng.uniform(0.2, 3.0, n)
+    for n in (1, 2, GRID_AUTO_THRESHOLD - 1, GRID_AUTO_THRESHOLD, GRID_AUTO_THRESHOLD + 1, 300):
+        for spread in (0.5, 4.0):  # dense, loose
+            half = spread * np.sqrt(n)
+            yield rng.uniform(-half, half, (n, 2)), rng.uniform(0.5, 1.5, n)
+    yield np.zeros((5, 2)), np.ones(5)
+    yield np.array([[0.0, 0.0], [np.nan, 1.0], [0.5, 0.0], [np.inf, 0.0]]), np.ones(4)
+    # Far spread: clusters at coordinates up to 1e12 with unit radii, where a
+    # flattened int64 cell id would overflow and p / cell rounds coarsely.
+    clusters = np.repeat(rng.uniform(-1e12, 1e12, (40, 2)), 6, axis=0)
+    yield clusters + rng.uniform(-2.2, 2.2, clusters.shape), np.ones(clusters.shape[0])
+
+
+def test_grid_and_naive_agree_on_random_states():
+    for positions, radii in broad_phase_layouts():
+        naive = contact_pairs(positions, radii, "naive")
+        grid = contact_pairs(positions, radii, "grid")
+        for a, b in zip(naive, grid):
+            assert a.tobytes() == b.tobytes()
+        assert total_overlap(positions, radii, contacts=grid) == total_overlap(positions, radii, contacts=naive)
+        pairs = find_overlap_pairs(positions, radii, method="naive")
+        assert find_overlap_pairs(positions, radii, method="grid").tobytes() == pairs.tobytes()
+        assert find_overlap_pairs(positions, radii, contacts=grid).tobytes() == pairs.tobytes()
 
 
 def test_grid_handles_coincident_centers():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from swarmpack.geometry import cg_violation, enclosing_radius, total_overlap
+from swarmpack.corpus import CORPUS
+from swarmpack.geometry import GRID_AUTO_THRESHOLD, cg_violation, enclosing_radius, total_overlap
 from swarmpack.init import initial_container_radius
+from swarmpack.instance_io import format_result_json
 from swarmpack.model import Hyperparameters, InvalidInputError, IterationRecord, ProblemInstance, SwarmState
 from swarmpack.solver import NoMilestonesError, convergence_milestones, is_feasible, solve
 
@@ -105,6 +107,13 @@ def test_solve_is_deterministic():
     assert a.best_iteration == b.best_iteration
     assert a.best_positions.tobytes() == b.best_positions.tobytes()
     assert a.history == b.history
+
+
+def test_cell_list_solve_serializes_like_all_pairs():
+    inst = CORPUS.get("II1")
+    assert inst.n >= GRID_AUTO_THRESHOLD  # so the default method takes the cell list
+    hp = Hyperparameters(n_it=300)
+    assert format_result_json(solve(inst, hp)) == format_result_json(solve(inst, hp, method="naive"))
 
 
 def test_trace_sees_every_record_in_order():
