@@ -4,90 +4,18 @@ Packs weighted circles into the smallest enclosing circle whose center
 coincides with the layout's center of gravity.
 """
 
-from .geometry import (
-    Disk,
-    InvalidGeometryError,
-    Point2,
-    center_of_gravity,
-    cg_violation,
-    enclosing_radius,
-    lens_area,
-    lens_area_from_distance,
-    total_overlap,
-)
-from .model import (
-    Hyperparameters,
-    InvalidInputError,
-    IterationRecord,
-    ProblemInstance,
-    SolveResult,
-    SwarmState,
-    occupation_rate,
-    validate_hyperparameters,
-    validate_instance,
-)
-from .forces import (
-    assemble_forces,
-    cg_force,
-    cg_gradient,
-    find_overlap_pairs,
-    overlap_force,
-    radius_force,
-    resultant_force,
-)
-from .dynamics import integrate_step
-from .schedule import ContainerSchedule, step_size
-from .init import INITIAL_OCCUPATION, initial_container_radius, initial_positions, initial_state
-from .solver import (
-    MILESTONE_THRESHOLDS,
-    NoMilestonesError,
-    convergence_milestones,
-    is_feasible,
-    solve,
-)
-from .corpus import CORPUS, BenchmarkCorpus, UnknownInstanceError
+from .corpus import CORPUS
+from .model import Hyperparameters, InvalidInputError, ProblemInstance, SolveResult
+from .solver import solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CORPUS",
-    "BenchmarkCorpus",
-    "ContainerSchedule",
-    "Disk",
     "Hyperparameters",
-    "INITIAL_OCCUPATION",
-    "InvalidGeometryError",
     "InvalidInputError",
-    "IterationRecord",
-    "MILESTONE_THRESHOLDS",
-    "NoMilestonesError",
-    "Point2",
     "ProblemInstance",
     "SolveResult",
-    "SwarmState",
-    "UnknownInstanceError",
-    "assemble_forces",
-    "center_of_gravity",
-    "cg_force",
-    "cg_gradient",
-    "cg_violation",
-    "convergence_milestones",
-    "enclosing_radius",
-    "find_overlap_pairs",
-    "initial_container_radius",
-    "initial_positions",
-    "initial_state",
-    "integrate_step",
-    "is_feasible",
-    "lens_area",
-    "lens_area_from_distance",
-    "occupation_rate",
-    "overlap_force",
-    "radius_force",
-    "resultant_force",
+    "__version__",
     "solve",
-    "step_size",
-    "total_overlap",
-    "validate_hyperparameters",
-    "validate_instance",
 ]

@@ -52,11 +52,6 @@ def run_single(instance: ProblemInstance, hp: Hyperparameters) -> RunSummary:
     )
 
 
-def _worker(task):
-    instance, hp = task
-    return run_single(instance, hp)
-
-
 def run_bench(
     instances: Sequence[ProblemInstance],
     reps: int,
@@ -69,15 +64,16 @@ def run_bench(
     Tasks are dispatched to a process pool when jobs > 1; summaries come
     back in (instance, seed) order either way.
     """
-    tasks = [(inst, replace(hp, seed=seed)) for inst in instances for seed in range(reps)]
-    if jobs > 1 and len(tasks) > 1:
+    task_instances = [inst for inst in instances for _ in range(reps)]
+    task_hps = [replace(hp, seed=seed) for _ in instances for seed in range(reps)]
+    if jobs > 1 and len(task_hps) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_worker, tasks))
+            summaries = list(pool.map(run_single, task_instances, task_hps))
     else:
-        summaries = [_worker(task) for task in tasks]
+        summaries = list(map(run_single, task_instances, task_hps))
 
     references = reference_radii or {}
-    report: dict = {"repetitions": reps, "hyperparameters": _hp_dict(hp), "instances": {}}
+    report: dict = {"repetitions": reps, "hyperparameters": hp.tunables(), "instances": {}}
     for inst in instances:
         rows = [s for s in summaries if s.instance == inst.name]
         feasible = [s for s in rows if s.feasible]
@@ -114,21 +110,6 @@ def run_bench(
             }
         report["instances"][inst.name] = entry
     return summaries, report
-
-
-def _hp_dict(hp: Hyperparameters) -> dict:
-    return {
-        "f_max": hp.f_max,
-        "v_max": hp.v_max,
-        "alpha": hp.alpha,
-        "s_max": hp.s_max,
-        "s_min": hp.s_min,
-        "c": hp.c,
-        "n_it": hp.n_it,
-        "dt": hp.dt,
-        "epsilon": hp.epsilon,
-        "overlap_tol": hp.overlap_tol,
-    }
 
 
 def format_report_json(report: dict) -> str:

@@ -1,7 +1,8 @@
 """Command-line interface: solve, bench, export, instances.
 
 Exit codes: 0 on success, 1 when the solver finds no feasible layout (or an
-export is asked for one), 2 for usage and parse errors.
+export is asked for one), 2 for usage and parse errors and for a layout that
+turns non-finite.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the solver on one instance")
-    p_solve.add_argument("instance", help="instance file path or embedded name (e.g. I1)")
+    p_solve.add_argument("instance", help="instance file path or embedded name (e.g. I1); a file wins over a name")
     _add_hp_flags(p_solve)
     p_solve.add_argument("--out-json", default=None, help="write the result as JSON")
     p_solve.add_argument("--out-svg", default=None, help="render the packed layout as SVG")
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_bench = sub.add_parser("bench", help="repeated-seed benchmark over a suite or instance")
-    p_bench.add_argument("selector", help="suite1, suite2, an embedded name, or a file path")
+    p_bench.add_argument("selector", help="suite1, suite2, an embedded name, or a file path; a file wins over a name")
     p_bench.add_argument("--reps", type=int, required=True, help="repetitions (seeds 0..K-1)")
     p_bench.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     _add_hp_flags(p_bench)

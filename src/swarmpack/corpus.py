@@ -189,12 +189,6 @@ class BenchmarkCorpus:
             return self.suite2
         raise UnknownInstanceError(key)
 
-    def select(self, key: str) -> tuple[ProblemInstance, ...]:
-        """A suite name, or a single instance wrapped in a tuple."""
-        if key in ("suite1", "suite2"):
-            return self.suite(key)
-        return (self.get(key),)
-
 
 def _build_suite2(name, tiers) -> ProblemInstance:
     radii = [float(radius) for radius, count in tiers for _ in range(count)]

@@ -25,9 +25,4 @@ def integrate_step(state: SwarmState, forces, masses, hp: Hyperparameters) -> Sw
     if np.any(over):
         vel[over] *= (hp.v_max / speed[over])[:, None]
     pos = state.positions + vel * hp.dt
-    return SwarmState(
-        positions=pos,
-        velocities=vel,
-        accelerations=acc,
-        iteration=state.iteration + 1,
-    )
+    return SwarmState(positions=pos, velocities=vel)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Contacts, center_of_gravity, contact_pairs
-from .model import Hyperparameters, InvalidInputError, ProblemInstance, SwarmState
+from .model import Hyperparameters, ProblemInstance, SwarmState
 
 # A pair triggers the separation push when the centers are closer than the
 # radius sum minus this slack; a circle counts as contained when its far
@@ -117,17 +117,6 @@ def _radius_force_all(p, v, r, center, target_radius, hp):
     return force
 
 
-def overlap_force(i: int, j: int, state: SwarmState, instance: ProblemInstance, hp: Hyperparameters) -> np.ndarray:
-    """Separation push on circle i from partner j; zero unless they overlap."""
-    if i == j:
-        raise InvalidInputError("a circle does not repel itself")
-    delta = state.positions[j] - state.positions[i]
-    dist = math.sqrt(delta[0] * delta[0] + delta[1] * delta[1])
-    if not dist < instance.radii[i] + instance.radii[j] - OVERLAP_TRIGGER_EPS:
-        return np.zeros(2)
-    return -(delta / (dist + hp.epsilon)) * hp.v_max - state.velocities[i]
-
-
 def cg_gradient(i: int, positions, masses, epsilon: float = 0.0) -> np.ndarray:
     """Derivative of the gravity-center distance with respect to p_i.
 
@@ -142,36 +131,3 @@ def cg_gradient(i: int, positions, masses, epsilon: float = 0.0) -> np.ndarray:
     if norm < epsilon or norm == 0.0:
         return np.zeros(2)
     return (m[i] / m.sum()) * (cg / norm)
-
-
-def cg_force(i: int, state: SwarmState, instance: ProblemInstance, hp: Hyperparameters) -> np.ndarray:
-    """Constant-magnitude pull steering the gravity center onto the origin."""
-    return -hp.alpha * cg_gradient(i, state.positions, instance.masses, epsilon=hp.epsilon)
-
-
-def radius_force(
-    i: int,
-    state: SwarmState,
-    instance: ProblemInstance,
-    container_center,
-    target_radius: float,
-    hp: Hyperparameters,
-) -> np.ndarray:
-    """Containment push on circle i; zero while it sits inside the target disk."""
-    c = np.asarray(container_center, dtype=float).reshape(2)
-    delta = c - state.positions[i]
-    dist = math.sqrt(delta[0] * delta[0] + delta[1] * delta[1])
-    if dist + instance.radii[i] <= target_radius + CONTAINMENT_EPS:
-        return np.zeros(2)
-    return (delta / (dist + hp.epsilon)) * hp.v_max - state.velocities[i]
-
-
-def resultant_force(contributions, hp: Hyperparameters) -> np.ndarray:
-    """Sum the contributions in the order given and cap the norm at f_max."""
-    total = np.zeros(2)
-    for f in contributions:
-        total = total + np.asarray(f, dtype=float)
-    norm = math.sqrt(total[0] * total[0] + total[1] * total[1])
-    if norm >= hp.f_max:
-        total = total * (hp.f_max / norm)
-    return total

@@ -56,11 +56,5 @@ def initial_state(instance: ProblemInstance, hp: Hyperparameters) -> tuple[Swarm
     if problems:
         raise InvalidInputError("; ".join(problems))
     radius = initial_container_radius(instance)
-    n = instance.n
-    state = SwarmState(
-        positions=initial_positions(instance, radius, hp.seed),
-        velocities=np.zeros((n, 2)),
-        accelerations=np.zeros((n, 2)),
-        iteration=0,
-    )
+    state = SwarmState(positions=initial_positions(instance, radius, hp.seed), velocities=np.zeros((instance.n, 2)))
     return state, ContainerSchedule(target_radius=radius)

@@ -15,15 +15,7 @@ import json
 import math
 from typing import IO, Optional
 
-import numpy as np
-
-from .model import (
-    Hyperparameters,
-    IterationRecord,
-    ProblemInstance,
-    SolveResult,
-    validate_instance,
-)
+from .model import IterationRecord, ProblemInstance, SolveResult, validate_instance
 from .solver import MILESTONE_THRESHOLDS, convergence_milestones
 
 
@@ -155,18 +147,7 @@ def result_to_dict(result: SolveResult) -> dict:
         "radii": instance.radii.tolist(),
         "masses": instance.masses.tolist(),
         "seed": hp.seed,
-        "hyperparameters": {
-            "f_max": hp.f_max,
-            "v_max": hp.v_max,
-            "alpha": hp.alpha,
-            "s_max": hp.s_max,
-            "s_min": hp.s_min,
-            "c": hp.c,
-            "n_it": hp.n_it,
-            "dt": hp.dt,
-            "epsilon": hp.epsilon,
-            "overlap_tol": hp.resolved_overlap_tol(instance),
-        },
+        "hyperparameters": {**hp.tunables(), "overlap_tol": hp.resolved_overlap_tol(instance)},
         "feasible": result.feasible,
         "best_radius": result.best_radius,
         "best_iteration": result.best_iteration,

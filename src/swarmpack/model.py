@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -96,6 +96,10 @@ class Hyperparameters:
         smallest = float(np.min(instance.radii))
         return 1e-6 * math.pi * smallest * smallest
 
+    def tunables(self) -> dict:
+        """Every field except the seed, by name, as the reports write them."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"}
+
 
 def validate_hyperparameters(hp: Hyperparameters) -> list[str]:
     problems = []
@@ -118,12 +122,14 @@ def validate_hyperparameters(hp: Hyperparameters) -> list[str]:
 
 @dataclass
 class SwarmState:
-    """Positions, velocities, and accelerations of one solver run."""
+    """Positions and velocities of one solver run.
+
+    ``accelerations`` is optional; the solver neither sets nor reads it.
+    """
 
     positions: np.ndarray
     velocities: np.ndarray
-    accelerations: np.ndarray
-    iteration: int = 0
+    accelerations: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)

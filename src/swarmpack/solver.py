@@ -71,14 +71,15 @@ def solve(
     instance: ProblemInstance,
     hp: Optional[Hyperparameters] = None,
     *,
-    method: str = "auto",
     trace: Optional[Callable[[IterationRecord], None]] = None,
 ) -> SolveResult:
     """Run the full iteration budget and return the best layout found.
 
     ``trace`` receives every IterationRecord as it is produced, in addition
     to the history kept on the result. The run is deterministic in
-    (instance, hp): identical inputs give bitwise-identical results.
+    (instance, hp): identical inputs give bitwise-identical results. A layout
+    that turns non-finite (hyperparameters scaled past float range) raises
+    InvalidInputError naming the iteration.
     """
     hp = hp if hp is not None else Hyperparameters()
     problems = validate_instance(instance) + validate_hyperparameters(hp)
@@ -90,8 +91,7 @@ def solve(
     origin = np.zeros(2)
     radii = instance.radii
     masses = instance.masses
-    # Also rejects an unknown method before the first iteration.
-    contacts = contact_pairs(state.positions, radii, method)
+    contacts = contact_pairs(state.positions, radii)
 
     history: list[IterationRecord] = []
     best_radius: Optional[float] = None
@@ -102,8 +102,13 @@ def solve(
         target = schedule.target_radius
         forces = assemble_forces(state, instance, origin, target, hp, contacts=contacts)
         state = integrate_step(state, forces, masses, hp)
-        contacts = contact_pairs(state.positions, radii, method)
+        contacts = contact_pairs(state.positions, radii)
         overlap, cgv, encl, feasible = _evaluate(state, instance, target, overlap_tol, contacts)
+        if not (math.isfinite(encl) and math.isfinite(cgv)):
+            raise InvalidInputError(
+                f"layout turned non-finite at iteration {t} (enclosing radius {encl!r}, "
+                f"gravity-center offset {cgv!r}); check the hyperparameter scales"
+            )
         record = IterationRecord(
             iteration=t,
             target_radius=target,

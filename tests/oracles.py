@@ -2,7 +2,8 @@
 
 Each function recomputes a quantity along a path disjoint from the library
 implementation: areas by counting uniform samples, gradients by central
-differences, schedule values from the decay law in its power arrangement.
+differences, schedule values from the decay law in its power arrangement,
+forces one circle and one contribution at a time.
 Keep these free of swarmpack imports so a bug cannot leak into its own check.
 """
 
@@ -68,6 +69,53 @@ def fd_cg_gradient(i, positions, masses, step=1e-6):
         lo[i, axis] -= step
         grad[axis] = (h(hi) - h(lo)) / (2.0 * step)
     return grad
+
+
+# Per-circle force formulas, one contribution at a time, as written in the
+# paper. The library assembles all circles at once; the arithmetic per
+# element matches, so the two agree bitwise. The 1e-12 slacks mirror the
+# library's OVERLAP_TRIGGER_EPS and CONTAINMENT_EPS.
+
+def overlap_force(i, j, state, instance, hp):
+    """Separation push on circle i from partner j; zero unless they overlap."""
+    if i == j:
+        raise ValueError("a circle does not repel itself")
+    delta = state.positions[j] - state.positions[i]
+    dist = math.sqrt(delta[0] * delta[0] + delta[1] * delta[1])
+    if not dist < instance.radii[i] + instance.radii[j] - 1e-12:
+        return np.zeros(2)
+    return -(delta / (dist + hp.epsilon)) * hp.v_max - state.velocities[i]
+
+
+def cg_force(i, state, instance, hp):
+    """Constant-magnitude pull steering the gravity center onto the origin."""
+    m = np.asarray(instance.masses, dtype=float)
+    cg = (m[:, None] * state.positions).sum(axis=0) / m.sum()
+    norm = math.sqrt(cg[0] * cg[0] + cg[1] * cg[1])
+    if norm < hp.epsilon or norm == 0.0:
+        return np.zeros(2)
+    return -hp.alpha * ((m[i] / m.sum()) * (cg / norm))
+
+
+def radius_force(i, state, instance, container_center, target_radius, hp):
+    """Containment push on circle i; zero while it sits inside the target disk."""
+    c = np.asarray(container_center, dtype=float).reshape(2)
+    delta = c - state.positions[i]
+    dist = math.sqrt(delta[0] * delta[0] + delta[1] * delta[1])
+    if dist + instance.radii[i] <= target_radius + 1e-12:
+        return np.zeros(2)
+    return (delta / (dist + hp.epsilon)) * hp.v_max - state.velocities[i]
+
+
+def resultant_force(contributions, hp):
+    """Sum the contributions in the order given and cap the norm at f_max."""
+    total = np.zeros(2)
+    for f in contributions:
+        total = total + np.asarray(f, dtype=float)
+    norm = math.sqrt(total[0] * total[0] + total[1] * total[1])
+    if norm >= hp.f_max:
+        total = total * (hp.f_max / norm)
+    return total
 
 
 def schedule_step_reference(t, n_it, s_max, s_min, c):

@@ -46,11 +46,16 @@ def test_solve_results_are_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_solve_accepts_instance_files(tmp_path, capsys):
+def test_solve_accepts_instance_files(tmp_path, monkeypatch, capsys):
     inst = ProblemInstance("filecase", radii=[1.0, 1.5], masses=[2.0, 1.0])
     path = tmp_path / "filecase.txt"
     path.write_text(format_instance(inst), encoding="utf-8")
     assert run("solve", str(path), "--iters", "200") == EXIT_OK
+    assert "filecase" in capsys.readouterr().out
+    # A file named like an embedded instance is read instead of the instance.
+    (tmp_path / "I1").write_text(format_instance(inst), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run("solve", "I1", "--iters", "200") == EXIT_OK
     assert "filecase" in capsys.readouterr().out
 
 
@@ -77,6 +82,7 @@ def test_solve_rejects_unknown_instances(capsys):
     assert "neither a readable file nor an embedded instance" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_usage_errors_exit_with_2(tmp_path, capsys):
     assert run("solve") == EXIT_USAGE
     assert run("nosuchcommand") == EXIT_USAGE
@@ -85,6 +91,9 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
     broken.write_text("not a header\n", encoding="utf-8")
     assert run("solve", str(broken)) == EXIT_USAGE
     capsys.readouterr()
+    # v_max near the float limit passes validation; the first tick overflows.
+    assert run("solve", "I1", "--vmax", "1e308") == EXIT_USAGE
+    assert "non-finite at iteration 1 " in capsys.readouterr().err
 
 
 def test_instances_list_and_show(capsys):
@@ -109,6 +118,10 @@ def test_bench_writes_report_and_runs(tmp_path, capsys):
 
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     assert report["repetitions"] == 2
+    hp = report["hyperparameters"]
+    assert set(hp) == {"f_max", "v_max", "alpha", "s_max", "s_min", "c", "n_it", "dt", "epsilon", "overlap_tol"}
+    assert hp["n_it"] == 300
+    assert hp["overlap_tol"] is None  # the unresolved default; each result JSON resolves it
     entry = report["instances"]["I1"]
     assert entry["circles"] == 10
     assert entry["reference_radius"] == 59.85

@@ -52,8 +52,6 @@ def test_reference_radii_table():
 
 def test_lookup_and_selection():
     assert CORPUS.get("I3").name == "I3"
-    assert CORPUS.select("I3") == (CORPUS.get("I3"),)
-    assert CORPUS.select("suite1") == CORPUS.suite1
     assert len(CORPUS.suite("suite2")) == 3
     with pytest.raises(UnknownInstanceError):
         CORPUS.get("I99")

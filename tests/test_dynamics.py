@@ -5,20 +5,18 @@ from swarmpack.dynamics import integrate_step
 from swarmpack.model import Hyperparameters, InvalidInputError, SwarmState
 
 
-def state_of(positions, velocities=None, iteration=0):
+def state_of(positions, velocities=None):
     p = np.asarray(positions, dtype=float)
     v = np.zeros_like(p) if velocities is None else np.asarray(velocities, dtype=float)
-    return SwarmState(positions=p, velocities=v, accelerations=np.zeros_like(p), iteration=iteration)
+    return SwarmState(positions=p, velocities=v)
 
 
 def test_single_step_from_rest():
     state = state_of([[1.0, 1.0]])
     forces = np.array([[4.0, 0.0]])
     out = integrate_step(state, forces, np.array([2.0]), Hyperparameters(v_max=5.0, dt=1.0))
-    assert out.accelerations.tolist() == [[2.0, 0.0]]
     assert out.velocities.tolist() == [[2.0, 0.0]]
     assert out.positions.tolist() == [[3.0, 1.0]]
-    assert out.iteration == 1
 
 
 def test_position_moves_by_the_updated_velocity():
@@ -26,13 +24,11 @@ def test_position_moves_by_the_updated_velocity():
     hp = Hyperparameters(v_max=5.0, dt=0.25)
     for _ in range(50):
         n = int(rng.integers(1, 12))
-        state = state_of(rng.uniform(-5, 5, (n, 2)), rng.uniform(-2, 2, (n, 2)), iteration=int(rng.integers(0, 9)))
+        state = state_of(rng.uniform(-5, 5, (n, 2)), rng.uniform(-2, 2, (n, 2)))
         forces = rng.uniform(-10, 10, (n, 2))
         masses = rng.uniform(0.5, 10.0, n)
         out = integrate_step(state, forces, masses, hp)
         assert np.array_equal(out.positions, state.positions + out.velocities * hp.dt)
-        assert np.array_equal(out.accelerations, forces / masses[:, None])
-        assert out.iteration == state.iteration + 1
 
 
 def test_speed_clamp_preserves_direction():

@@ -2,25 +2,16 @@ import numpy as np
 import pytest
 
 from swarmpack.geometry import GRID_AUTO_THRESHOLD, cg_violation, contact_pairs, total_overlap
-from swarmpack.forces import (
-    OVERLAP_TRIGGER_EPS,
-    assemble_forces,
-    cg_force,
-    cg_gradient,
-    find_overlap_pairs,
-    overlap_force,
-    radius_force,
-    resultant_force,
-)
+from swarmpack.forces import assemble_forces, cg_gradient, find_overlap_pairs
 from swarmpack.model import Hyperparameters, InvalidInputError, ProblemInstance, SwarmState
 
-from oracles import fd_cg_gradient
+from oracles import cg_force, fd_cg_gradient, overlap_force, radius_force, resultant_force
 
 
 def make_state(positions, velocities=None):
     p = np.asarray(positions, dtype=float)
     v = np.zeros_like(p) if velocities is None else np.asarray(velocities, dtype=float)
-    return SwarmState(positions=p, velocities=v, accelerations=np.zeros_like(p))
+    return SwarmState(positions=p, velocities=v)
 
 
 def make_instance(radii, masses=None):
@@ -103,7 +94,7 @@ def test_unknown_method_is_rejected():
         find_overlap_pairs(np.zeros((2, 2)), np.ones(2), method="bogus")
 
 
-# ------------------------------------------------------------- scalar kernels
+# ------------------------------------------------- per-circle formulas (oracles)
 
 def test_overlap_force_pushes_apart_at_v_max():
     state = make_state([[0.0, 0.0], [1.0, 0.0]])
@@ -129,7 +120,7 @@ def test_overlap_force_zero_without_overlap_and_rejects_self():
     inst = make_instance([1.0, 1.0])
     hp = Hyperparameters()
     assert not overlap_force(0, 1, state, inst, hp).any()
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ValueError):
         overlap_force(2, 2, state, inst, hp)
 
 

@@ -75,9 +75,7 @@ def test_initial_state_is_at_rest_at_the_seed_radius():
     rng = np.random.default_rng(4)
     inst = random_instance(rng, 9)
     state, schedule = initial_state(inst, Hyperparameters(seed=3))
-    assert state.iteration == 0
     assert not state.velocities.any()
-    assert not state.accelerations.any()
     assert schedule.target_radius == initial_container_radius(inst)
     assert occupation_rate(inst, schedule.target_radius) == pytest.approx(0.15, rel=1e-12)
     assert state.positions.tobytes() == initial_positions(inst, schedule.target_radius, 3).tobytes()

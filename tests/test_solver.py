@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from swarmpack import geometry
 from swarmpack.corpus import CORPUS
-from swarmpack.geometry import GRID_AUTO_THRESHOLD, cg_violation, enclosing_radius, total_overlap
+from swarmpack.geometry import cg_violation, enclosing_radius, total_overlap
 from swarmpack.init import initial_container_radius
 from swarmpack.instance_io import format_result_json
 from swarmpack.model import Hyperparameters, InvalidInputError, IterationRecord, ProblemInstance, SwarmState
@@ -13,7 +14,7 @@ from swarmpack.solver import NoMilestonesError, convergence_milestones, is_feasi
 
 def state_of(positions):
     p = np.asarray(positions, dtype=float)
-    return SwarmState(positions=p, velocities=np.zeros_like(p), accelerations=np.zeros_like(p))
+    return SwarmState(positions=p, velocities=np.zeros_like(p))
 
 
 def record_of(iteration, actual, feasible=True, target=None):
@@ -109,11 +110,13 @@ def test_solve_is_deterministic():
     assert a.history == b.history
 
 
-def test_cell_list_solve_serializes_like_all_pairs():
+def test_cell_list_solve_serializes_like_all_pairs(monkeypatch):
     inst = CORPUS.get("II1")
-    assert inst.n >= GRID_AUTO_THRESHOLD  # so the default method takes the cell list
+    assert inst.n >= geometry.GRID_AUTO_THRESHOLD  # so the default takes the cell list
     hp = Hyperparameters(n_it=300)
-    assert format_result_json(solve(inst, hp)) == format_result_json(solve(inst, hp, method="naive"))
+    cell_list = format_result_json(solve(inst, hp))
+    monkeypatch.setattr(geometry, "GRID_AUTO_THRESHOLD", inst.n + 1)
+    assert format_result_json(solve(inst, hp)) == cell_list
 
 
 def test_trace_sees_every_record_in_order():
@@ -139,8 +142,12 @@ def test_solve_rejects_bad_input():
         solve(inst, Hyperparameters(n_it=0))
     with pytest.raises(InvalidInputError):
         solve(ProblemInstance("bad", radii=[-1.0], masses=[1.0]))
-    with pytest.raises(InvalidInputError):
-        solve(inst, Hyperparameters(), method="bogus")
+    # v_max near the float limit passes validation, but the first push
+    # overflows and every coordinate turns NaN: the run stops at once.
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError, match="non-finite at iteration 1 "):
+        solve(CORPUS.get("I1"), Hyperparameters(v_max=1e308), trace=seen.append)
+    assert seen == []
 
 
 def test_milestones_walk_the_best_so_far():
