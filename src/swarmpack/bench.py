@@ -37,17 +37,13 @@ def run_single(instance: ProblemInstance, hp: Hyperparameters) -> RunSummary:
     started = time.perf_counter()
     result = solve(instance, hp)
     wall = time.perf_counter() - started
-    milestones = None
-    if result.feasible:
-        pairs = convergence_milestones(result.history, result.best_radius, MILESTONE_THRESHOLDS)
-        milestones = {str(p): it for p, it in pairs}
     return RunSummary(
         instance=instance.name,
         seed=hp.seed,
         feasible=result.feasible,
         best_radius=result.best_radius,
         best_iteration=result.best_iteration,
-        milestones=milestones,
+        milestones=convergence_milestones(result.history, result.best_radius) if result.feasible else None,
         wall_time=wall,
     )
 
@@ -105,8 +101,7 @@ def run_bench(
                 for p in ROBUSTNESS_THRESHOLDS
             }
             entry["milestone_mean_iterations"] = {
-                str(p): statistics.fmean(s.milestones[str(p)] for s in feasible)
-                for p in MILESTONE_THRESHOLDS
+                key: statistics.fmean(s.milestones[key] for s in feasible) for key in feasible[0].milestones
             }
         report["instances"][inst.name] = entry
     return summaries, report
@@ -122,11 +117,7 @@ CSV_COLUMNS = (
     "feasible",
     "best_radius",
     "best_iteration",
-    "milestone_0.1",
-    "milestone_0.05",
-    "milestone_0.01",
-    "milestone_0.005",
-    "milestone_0.001",
+    *(f"milestone_{p}" for p in MILESTONE_THRESHOLDS),
     "wall_time",
 )
 
@@ -135,7 +126,6 @@ def write_runs_csv(fh: IO[str], summaries: Sequence[RunSummary]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for s in summaries:
-        milestones = s.milestones or {}
         writer.writerow(
             (
                 s.instance,
@@ -143,7 +133,7 @@ def write_runs_csv(fh: IO[str], summaries: Sequence[RunSummary]) -> None:
                 "true" if s.feasible else "false",
                 "" if s.best_radius is None else repr(s.best_radius),
                 "" if s.best_iteration is None else s.best_iteration,
-                *(milestones.get(str(p), "") for p in MILESTONE_THRESHOLDS),
+                *(s.milestones.values() if s.milestones else [""] * len(MILESTONE_THRESHOLDS)),
                 f"{s.wall_time:.3f}",
             )
         )

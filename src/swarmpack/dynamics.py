@@ -12,7 +12,8 @@ def integrate_step(state: SwarmState, forces, masses, hp: Hyperparameters) -> Sw
 
     Velocities update first and positions move with the *new* velocity; the
     speed clamp afterwards keeps any single tick from teleporting a circle
-    across the container.
+    across the container. A speed that overflows to inf has no direction
+    left to clamp to and raises InvalidInputError.
     """
     m = np.asarray(masses, dtype=float)
     if np.any(m <= 0.0):
@@ -21,8 +22,11 @@ def integrate_step(state: SwarmState, forces, masses, hp: Hyperparameters) -> Sw
     acc = f / m[:, None]
     vel = state.velocities + acc * hp.dt
     speed = np.sqrt(vel[:, 0] ** 2 + vel[:, 1] ** 2)
-    over = speed > hp.v_max
-    if np.any(over):
+    top = speed.max()
+    if top > hp.v_max:
+        if top == np.inf:
+            raise InvalidInputError("speed overflowed to inf; check the dt, f_max and v_max scales")
+        over = speed > hp.v_max
         vel[over] *= (hp.v_max / speed[over])[:, None]
     pos = state.positions + vel * hp.dt
     return SwarmState(positions=pos, velocities=vel)

@@ -32,20 +32,15 @@ OVERLAP_TRIGGER_EPS = 1e-12
 CONTAINMENT_EPS = 1e-12
 
 
-def find_overlap_pairs(
-    positions, radii, method: str = "auto", *, contacts: Optional[Contacts] = None
-) -> np.ndarray:
+def find_overlap_pairs(radii, contacts: Contacts) -> np.ndarray:
     """Directed overlapping pairs as an (E, 2) int array sorted by (i, j).
 
     A pair overlaps when its center distance is below the radius sum minus
-    OVERLAP_TRIGGER_EPS. The candidates are ``contacts``, this layout's
-    ``contact_pairs`` result, when the caller already has it; otherwise the
-    pair search runs here with ``method`` (``naive``, ``grid`` or ``auto``).
+    OVERLAP_TRIGGER_EPS; the candidates are ``contacts``, the layout's
+    ``contact_pairs`` result.
     """
-    p = np.asarray(positions, dtype=float)
-    r = np.asarray(radii, dtype=float)
-    i, j, d = contacts if contacts is not None else contact_pairs(p, r, method)
-    hit = d < r[i] + r[j] - OVERLAP_TRIGGER_EPS
+    i, j, d = contacts
+    hit = d < radii[i] + radii[j] - OVERLAP_TRIGGER_EPS
     return _directed_sorted(i[hit], j[hit])
 
 
@@ -67,10 +62,13 @@ def assemble_forces(
     method: str = "auto",
     *,
     contacts: Optional[Contacts] = None,
+    cg: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Capped resultant force on every circle, as an (N, 2) array.
 
-    ``contacts`` and ``method`` pass through to ``find_overlap_pairs``.
+    ``contacts`` and ``cg`` are the layout's ``contact_pairs`` result and
+    gravity center, when the caller already has them; otherwise they are
+    computed here, the pair search with ``method``.
     """
     p = state.positions
     v = state.velocities
@@ -78,9 +76,14 @@ def assemble_forces(
     n = p.shape[0]
     c = np.asarray(container_center, dtype=float).reshape(2)
 
+    if contacts is None:
+        contacts = contact_pairs(p, r, method)
+    if cg is None:
+        cg = center_of_gravity(p, instance.masses)
+
     total = np.zeros((n, 2))
 
-    pairs = find_overlap_pairs(p, r, method, contacts=contacts)
+    pairs = find_overlap_pairs(r, contacts)
     if pairs.shape[0]:
         src, dst = pairs[:, 0], pairs[:, 1]
         delta = p[dst] - p[src]
@@ -89,7 +92,7 @@ def assemble_forces(
         # np.add.at applies the rows in array order, i.e. ascending (i, j).
         np.add.at(total, src, push)
 
-    total += _cg_force_all(p, instance.masses, hp)
+    total += _cg_force_all(p, cg, instance.masses, hp)
     total += _radius_force_all(p, v, r, c, target_radius, hp)
 
     norms = np.sqrt(total[:, 0] ** 2 + total[:, 1] ** 2)
@@ -99,12 +102,18 @@ def assemble_forces(
     return total
 
 
-def _cg_force_all(p, masses, hp):
-    cg = center_of_gravity(p, masses)
+def _cg_gradient_all(cg, masses, epsilon):
+    # cg_gradient for every circle at once, as (N, 2); None where it is zero.
     norm = math.sqrt(cg[0] * cg[0] + cg[1] * cg[1])
-    if norm < hp.epsilon:
+    if norm < epsilon or norm == 0.0:
+        return None
+    return (masses / masses.sum())[:, None] * (cg / norm)[None, :]
+
+
+def _cg_force_all(p, cg, masses, hp):
+    grad = _cg_gradient_all(cg, masses, hp.epsilon)
+    if grad is None:
         return np.zeros_like(p)
-    grad = (masses / masses.sum())[:, None] * (cg / norm)[None, :]
     return -hp.alpha * grad
 
 
@@ -124,10 +133,6 @@ def cg_gradient(i: int, positions, masses, epsilon: float = 0.0) -> np.ndarray:
     center; inside the epsilon ball around the origin the gradient is taken
     as zero (the distance has no derivative at its cone point).
     """
-    p = np.asarray(positions, dtype=float)
     m = np.asarray(masses, dtype=float)
-    cg = center_of_gravity(p, m)
-    norm = math.sqrt(cg[0] * cg[0] + cg[1] * cg[1])
-    if norm < epsilon or norm == 0.0:
-        return np.zeros(2)
-    return (m[i] / m.sum()) * (cg / norm)
+    grad = _cg_gradient_all(center_of_gravity(positions, m), m, epsilon)
+    return np.zeros(2) if grad is None else grad[i]

@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import IO, Optional
+from typing import IO
 
 from .model import IterationRecord, ProblemInstance, SolveResult, validate_instance
-from .solver import MILESTONE_THRESHOLDS, convergence_milestones
+from .solver import convergence_milestones
 
 
 class ParseError(ValueError):
@@ -118,14 +118,6 @@ def parse_instance_json(text: str) -> ProblemInstance:
     return instance
 
 
-def format_instance_json(instance: ProblemInstance) -> str:
-    payload = {
-        "name": instance.name,
-        "circles": [{"radius": r, "mass": m} for r, m in instance.circles()],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def load_instance(path: str) -> ProblemInstance:
     """Parse a file, dispatching on the .json suffix."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -138,10 +130,6 @@ def load_instance(path: str) -> ProblemInstance:
 def result_to_dict(result: SolveResult) -> dict:
     hp = result.hyperparameters
     instance = result.instance
-    milestones: Optional[dict] = None
-    if result.feasible:
-        pairs = convergence_milestones(result.history, result.best_radius, MILESTONE_THRESHOLDS)
-        milestones = {str(p): it for p, it in pairs}
     return {
         "instance": instance.name,
         "radii": instance.radii.tolist(),
@@ -152,7 +140,7 @@ def result_to_dict(result: SolveResult) -> dict:
         "best_radius": result.best_radius,
         "best_iteration": result.best_iteration,
         "positions": None if result.best_positions is None else result.best_positions.tolist(),
-        "milestones": milestones,
+        "milestones": convergence_milestones(result.history, result.best_radius) if result.feasible else None,
     }
 
 
@@ -207,8 +195,3 @@ class TraceCsvWriter:
             )
         )
 
-
-def write_trace_csv(fh: IO[str], history) -> None:
-    writer = TraceCsvWriter(fh)
-    for record in history:
-        writer(record)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 from .model import Hyperparameters
 
 # Fraction of the iteration budget of *consecutive* infeasible iterations
@@ -31,7 +29,6 @@ class ContainerSchedule:
     """Mutable ratchet for the container target radius, owned by one run."""
 
     target_radius: float
-    last_feasible_radius: Optional[float] = None
     stagnation_counter: int = 0
     stagnation_active: bool = False
 
@@ -43,7 +40,6 @@ class ContainerSchedule:
         s_min before the schedule resumes its decay curve.
         """
         step = step_size(t, hp, stagnation_active=self.stagnation_active)
-        self.last_feasible_radius = actual_radius
         new_target = actual_radius - step
         self.target_radius = new_target if new_target > 0.0 else hp.s_min
         self.stagnation_counter = 0

@@ -1,9 +1,9 @@
 """Shrinking-container solve loop and its feasibility bookkeeping.
 
 One iteration: assemble forces against the current target radius (container
-anchored at the origin), step the dynamics, then judge the new layout. A
-single pair search per layout (``contact_pairs``) serves both the overlap
-sum that judges it and the separation forces of the next iteration. A
+anchored at the origin), step the dynamics, then judge the new layout. Each
+layout gets one pair search (``contact_pairs``) and one gravity center; both
+serve the evaluation that judges it and the forces of the next iteration. A
 layout is feasible when its total overlap is inside tolerance and the
 enclosing radius measured about its own gravity center fits the target. Each
 feasible layout ratchets the target down via the schedule; the smallest
@@ -51,20 +51,14 @@ def _evaluate(
     instance: ProblemInstance,
     target_radius: float,
     overlap_tol: float,
-    contacts: Optional[Contacts] = None,
+    contacts: Contacts,
 ):
     overlap = total_overlap(state.positions, instance.radii, contacts=contacts)
     cg = center_of_gravity(state.positions, instance.masses)
     cgv = math.sqrt(cg[0] * cg[0] + cg[1] * cg[1])
     encl = enclosing_radius(state.positions, instance.radii, cg)
     feasible = overlap <= overlap_tol and encl <= target_radius + FEASIBLE_RADIUS_EPS
-    return overlap, cgv, encl, feasible
-
-
-def is_feasible(state: SwarmState, instance: ProblemInstance, target_radius: float, hp: Hyperparameters) -> bool:
-    """Whether the layout fits the target about its own gravity center."""
-    tol = hp.resolved_overlap_tol(instance)
-    return _evaluate(state, instance, target_radius, tol)[3]
+    return overlap, cg, cgv, encl, feasible
 
 
 def solve(
@@ -77,9 +71,9 @@ def solve(
 
     ``trace`` receives every IterationRecord as it is produced, in addition
     to the history kept on the result. The run is deterministic in
-    (instance, hp): identical inputs give bitwise-identical results. A layout
-    that turns non-finite (hyperparameters scaled past float range) raises
-    InvalidInputError naming the iteration.
+    (instance, hp): identical inputs give bitwise-identical results. A speed
+    or a layout that turns non-finite (hyperparameters scaled past float
+    range) raises InvalidInputError naming the iteration.
     """
     hp = hp if hp is not None else Hyperparameters()
     problems = validate_instance(instance) + validate_hyperparameters(hp)
@@ -92,6 +86,7 @@ def solve(
     radii = instance.radii
     masses = instance.masses
     contacts = contact_pairs(state.positions, radii)
+    cg = center_of_gravity(state.positions, masses)
 
     history: list[IterationRecord] = []
     best_radius: Optional[float] = None
@@ -100,10 +95,13 @@ def solve(
 
     for t in range(1, hp.n_it + 1):
         target = schedule.target_radius
-        forces = assemble_forces(state, instance, origin, target, hp, contacts=contacts)
-        state = integrate_step(state, forces, masses, hp)
+        forces = assemble_forces(state, instance, origin, target, hp, contacts=contacts, cg=cg)
+        try:
+            state = integrate_step(state, forces, masses, hp)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"iteration {t}: {exc}") from None
         contacts = contact_pairs(state.positions, radii)
-        overlap, cgv, encl, feasible = _evaluate(state, instance, target, overlap_tol, contacts)
+        overlap, cg, cgv, encl, feasible = _evaluate(state, instance, target, overlap_tol, contacts)
         if not (math.isfinite(encl) and math.isfinite(cgv)):
             raise InvalidInputError(
                 f"layout turned non-finite at iteration {t} (enclosing radius {encl!r}, "
@@ -124,13 +122,10 @@ def solve(
             if best_radius is None or encl < best_radius:
                 best_radius = encl
                 best_iteration = t
-                best_positions = state.positions.copy()
+                best_positions = state.positions - cg
             schedule.on_feasible(encl, t, hp)
         else:
             schedule.on_infeasible(hp)
-
-    if best_positions is not None:
-        best_positions = best_positions - center_of_gravity(best_positions, masses)
 
     return SolveResult(
         instance=instance,
@@ -147,19 +142,20 @@ def convergence_milestones(
     history: Sequence[IterationRecord],
     final_radius: float,
     thresholds: Sequence[float] = MILESTONE_THRESHOLDS,
-) -> list[tuple[float, Optional[int]]]:
+) -> dict[str, Optional[int]]:
     """First iteration whose best-so-far radius is within each threshold.
 
     A threshold p is reached at the first iteration where the smallest
     feasible radius seen so far drops to (1+p) times ``final_radius``.
     Against the run's own final radius every threshold resolves; against a
-    foreign reference a threshold may stay unreached (None).
+    foreign reference a threshold may stay unreached (None). Keyed by
+    threshold string (``"0.1"``), as the result JSON and bench report write.
     """
     if not (math.isfinite(final_radius) and final_radius > 0.0):
         raise InvalidInputError(f"final radius must be positive, got {final_radius!r}")
     if not any(rec.feasible for rec in history):
         raise NoMilestonesError("run never reached a feasible layout")
-    out: list[tuple[float, Optional[int]]] = []
+    out: dict[str, Optional[int]] = {}
     for p in thresholds:
         bar = (1.0 + p) * final_radius
         best = math.inf
@@ -170,5 +166,5 @@ def convergence_milestones(
             if best <= bar:
                 hit = rec.iteration
                 break
-        out.append((float(p), hit))
+        out[str(float(p))] = hit
     return out

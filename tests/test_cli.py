@@ -96,6 +96,14 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
     assert "non-finite at iteration 1 " in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_speed_overflow_exits_with_2(capsys):
+    # Finite forces times dt=1e200 overflow the speed; the run stops at once
+    # instead of freezing the swarm and reporting no feasible layout.
+    assert run("solve", "I1", "--dt", "1e200", "--iters", "50") == EXIT_USAGE
+    assert "error: iteration 1: speed overflowed to inf" in capsys.readouterr().err
+
+
 def test_instances_list_and_show(capsys):
     assert run("instances", "list") == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()

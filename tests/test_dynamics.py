@@ -80,3 +80,12 @@ def test_nonpositive_mass_is_rejected():
         integrate_step(state, np.zeros((1, 2)), np.array([0.0]), Hyperparameters())
     with pytest.raises(InvalidInputError):
         integrate_step(state, np.zeros((1, 2)), np.array([-1.0]), Hyperparameters())
+
+
+def test_speed_overflow_is_rejected():
+    # Each component is finite, but the squared speed overflows: no clamp
+    # direction is left, and scaling by v_max / inf would zero the velocity.
+    state = state_of([[0.0, 0.0], [1.0, 0.0]])
+    forces = np.array([[1e200, 1e200], [0.0, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="speed overflowed"):
+        integrate_step(state, forces, np.ones(2), Hyperparameters())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmpack.geometry import GRID_AUTO_THRESHOLD, cg_violation, contact_pairs, total_overlap
+from swarmpack.geometry import GRID_AUTO_THRESHOLD, center_of_gravity, cg_violation, contact_pairs, total_overlap
 from swarmpack.forces import assemble_forces, cg_gradient, find_overlap_pairs
 from swarmpack.model import Hyperparameters, InvalidInputError, ProblemInstance, SwarmState
 
@@ -28,25 +28,29 @@ def random_setup(rng, n, spread=4.0):
 
 # ---------------------------------------------------------------- pair finding
 
+def overlap_pairs(positions, radii, method="auto"):
+    return find_overlap_pairs(radii, contact_pairs(positions, radii, method))
+
+
 def test_no_pairs_for_separated_or_tiny_swarms():
     r = np.array([1.0, 1.0])
-    assert find_overlap_pairs(np.array([[0.0, 0.0], [5.0, 0.0]]), r).shape == (0, 2)
-    assert find_overlap_pairs(np.array([[0.0, 0.0]]), np.array([2.0])).shape == (0, 2)
-    assert find_overlap_pairs(np.empty((0, 2)), np.empty(0)).shape == (0, 2)
+    assert overlap_pairs(np.array([[0.0, 0.0], [5.0, 0.0]]), r).shape == (0, 2)
+    assert overlap_pairs(np.array([[0.0, 0.0]]), np.array([2.0])).shape == (0, 2)
+    assert overlap_pairs(np.empty((0, 2)), np.empty(0)).shape == (0, 2)
 
 
 def test_exact_tangency_is_not_an_overlap():
     r = np.array([1.0, 1.0])
     touching = np.array([[0.0, 0.0], [2.0, 0.0]])
-    assert find_overlap_pairs(touching, r).shape[0] == 0
+    assert overlap_pairs(touching, r).shape[0] == 0
     barely = np.array([[0.0, 0.0], [2.0 - 1e-6, 0.0]])
-    assert find_overlap_pairs(barely, r).shape[0] == 2
+    assert overlap_pairs(barely, r).shape[0] == 2
 
 
 def test_pairs_are_directed_and_lexsorted():
     positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [9.0, 9.0]])
     radii = np.array([1.0, 1.0, 1.0, 1.0])
-    pairs = find_overlap_pairs(positions, radii)
+    pairs = overlap_pairs(positions, radii)
     assert pairs.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
 
 
@@ -75,23 +79,25 @@ def test_grid_and_naive_agree_on_random_states():
         for a, b in zip(naive, grid):
             assert a.tobytes() == b.tobytes()
         assert total_overlap(positions, radii, contacts=grid) == total_overlap(positions, radii, contacts=naive)
-        pairs = find_overlap_pairs(positions, radii, method="naive")
-        assert find_overlap_pairs(positions, radii, method="grid").tobytes() == pairs.tobytes()
-        assert find_overlap_pairs(positions, radii, contacts=grid).tobytes() == pairs.tobytes()
+        pairs = find_overlap_pairs(radii, naive)
+        assert find_overlap_pairs(radii, grid).tobytes() == pairs.tobytes()
 
 
 def test_grid_handles_coincident_centers():
     positions = np.zeros((5, 2))
     radii = np.full(5, 1.0)
-    naive = find_overlap_pairs(positions, radii, method="naive")
-    grid = find_overlap_pairs(positions, radii, method="grid")
+    naive = overlap_pairs(positions, radii, "naive")
+    grid = overlap_pairs(positions, radii, "grid")
     assert naive.tobytes() == grid.tobytes()
     assert naive.shape[0] == 5 * 4
 
 
 def test_unknown_method_is_rejected():
     with pytest.raises(InvalidInputError):
-        find_overlap_pairs(np.zeros((2, 2)), np.ones(2), method="bogus")
+        contact_pairs(np.zeros((2, 2)), np.ones(2), "bogus")
+    state, inst = make_state(np.zeros((2, 2))), make_instance([1.0, 1.0])
+    with pytest.raises(InvalidInputError):
+        assemble_forces(state, inst, (0.0, 0.0), 5.0, Hyperparameters(), method="bogus")
 
 
 # ------------------------------------------------- per-circle formulas (oracles)
@@ -236,6 +242,10 @@ def test_assembly_is_method_independent_bitwise():
         naive = assemble_forces(state, inst, (0.0, 0.0), target, hp, method="naive")
         grid = assemble_forces(state, inst, (0.0, 0.0), target, hp, method="grid")
         assert naive.tobytes() == grid.tobytes()
+        contacts = contact_pairs(state.positions, inst.radii)
+        cg = center_of_gravity(state.positions, inst.masses)
+        given = assemble_forces(state, inst, (0.0, 0.0), target, hp, contacts=contacts, cg=cg)
+        assert given.tobytes() == naive.tobytes()
 
 
 def test_overlap_pushes_conserve_momentum_at_rest():

@@ -48,7 +48,6 @@ def test_on_feasible_ratchets_below_actual():
     schedule = ContainerSchedule(target_radius=100.0)
     schedule.on_feasible(80.0, 0, hp)
     assert schedule.target_radius == 80.0 - hp.s_max
-    assert schedule.last_feasible_radius == 80.0
     assert schedule.stagnation_counter == 0
     assert not schedule.stagnation_active
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from swarmpack import geometry
+from swarmpack import forces, geometry, solver
 from swarmpack.corpus import CORPUS
-from swarmpack.geometry import cg_violation, enclosing_radius, total_overlap
+from swarmpack.geometry import cg_violation, contact_pairs, enclosing_radius, total_overlap
 from swarmpack.init import initial_container_radius
 from swarmpack.instance_io import format_result_json
 from swarmpack.model import Hyperparameters, InvalidInputError, IterationRecord, ProblemInstance, SwarmState
-from swarmpack.solver import NoMilestonesError, convergence_milestones, is_feasible, solve
+from swarmpack.solver import NoMilestonesError, convergence_milestones, solve
 
 
 def state_of(positions):
@@ -33,6 +33,13 @@ def record_of(iteration, actual, feasible=True, target=None):
 # single-iteration run is infeasible by construction.
 DEEP_PAIR = ProblemInstance("deeppair", radii=[10.0, 10.0], masses=[1.0, 1.0])
 DEEP_PAIR_SEED = 6
+
+
+def is_feasible(state, instance, target_radius, hp):
+    # The per-layout evaluation solve runs after every tick.
+    tol = hp.resolved_overlap_tol(instance)
+    contacts = contact_pairs(state.positions, instance.radii)
+    return solver._evaluate(state, instance, target_radius, tol, contacts)[-1]
 
 
 def test_is_feasible_judges_fit_about_the_gravity_center():
@@ -119,6 +126,37 @@ def test_cell_list_solve_serializes_like_all_pairs(monkeypatch):
     assert format_result_json(solve(inst, hp)) == cell_list
 
 
+def test_gravity_center_is_computed_once_per_layout(monkeypatch):
+    calls = {"solver": 0, "forces": 0}
+
+    def counting(module, key):
+        original = module.center_of_gravity
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "center_of_gravity", wrapper)
+
+    counting(solver, "solver")
+    counting(forces, "forces")
+    hp = Hyperparameters(n_it=60, seed=1)
+    result = solve(ProblemInstance("trio", radii=[2.0, 1.0, 1.5], masses=[4.0, 1.0, 2.0]), hp)
+    assert result.feasible
+    # The initial layout and the layout after each tick; the best layout is
+    # re-centered with the gravity center of its own tick.
+    assert calls == {"solver": hp.n_it + 1, "forces": 0}
+
+
+def test_speed_overflow_stops_the_run():
+    # Each force is finite, but dt scales the velocity past float range: the
+    # clamp has no direction left and would freeze the swarm at zero speed.
+    seen = []
+    with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="iteration 1: speed overflowed"):
+        solve(CORPUS.get("I1"), Hyperparameters(dt=1e200, n_it=50), trace=seen.append)
+    assert seen == []
+
+
 def test_trace_sees_every_record_in_order():
     inst = ProblemInstance("traced", radii=[1.0, 1.0], masses=[1.0, 1.0])
     seen = []
@@ -159,13 +197,13 @@ def test_milestones_walk_the_best_so_far():
         record_of(900, 100.0),
     ]
     got = convergence_milestones(history, 100.0)
-    assert got == [(0.10, 10), (0.05, 50), (0.01, 200), (0.005, 200), (0.001, 200)]
+    assert list(got.items()) == [("0.1", 10), ("0.05", 50), ("0.01", 200), ("0.005", 200), ("0.001", 200)]
 
 
 def test_milestones_against_a_foreign_reference_may_stay_open():
     history = [record_of(10, 110.0), record_of(20, 104.0)]
     got = convergence_milestones(history, 100.0, thresholds=(0.10, 0.01))
-    assert got == [(0.10, 10), (0.01, None)]
+    assert list(got.items()) == [("0.1", 10), ("0.01", None)]
 
 
 def test_milestones_require_a_feasible_run_and_sane_reference():
