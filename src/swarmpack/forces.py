@@ -2,11 +2,11 @@
 
 Each circle receives three contributions: a separation push away from every
 overlapping partner, a constant-magnitude pull that drags the swarm's
-gravity center onto the container center, and a containment push toward the
-container center when the circle pokes out of the current target disk. The
-push terms subtract the circle's own velocity, so under repeated triggering
-the velocity converges onto the push direction at v_max instead of winding
-up without bound.
+gravity center onto the container center (the origin), and a containment
+push toward that center when the circle pokes out of the current target
+disk. The push terms subtract the circle's own velocity, so under repeated
+triggering the velocity converges onto the push direction at v_max instead
+of winding up without bound.
 
 Contributions accumulate per circle in a fixed order (partners by ascending
 index, then the gravity term, then the containment term) and the resultant
@@ -16,12 +16,9 @@ matter how the overlapping pairs were found.
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
 
-from .geometry import Contacts, center_of_gravity, contact_pairs
+from .geometry import Contacts, center_of_gravity, cg_offset
 from .model import Hyperparameters, ProblemInstance, SwarmState
 
 # A pair triggers the separation push when the centers are closer than the
@@ -56,30 +53,20 @@ def _directed_sorted(i, j):
 def assemble_forces(
     state: SwarmState,
     instance: ProblemInstance,
-    container_center,
     target_radius: float,
     hp: Hyperparameters,
-    method: str = "auto",
-    *,
-    contacts: Optional[Contacts] = None,
-    cg: Optional[np.ndarray] = None,
+    contacts: Contacts,
+    cg: np.ndarray,
 ) -> np.ndarray:
     """Capped resultant force on every circle, as an (N, 2) array.
 
     ``contacts`` and ``cg`` are the layout's ``contact_pairs`` result and
-    gravity center, when the caller already has them; otherwise they are
-    computed here, the pair search with ``method``.
+    gravity center; the container is centered on the origin.
     """
     p = state.positions
     v = state.velocities
     r = instance.radii
     n = p.shape[0]
-    c = np.asarray(container_center, dtype=float).reshape(2)
-
-    if contacts is None:
-        contacts = contact_pairs(p, r, method)
-    if cg is None:
-        cg = center_of_gravity(p, instance.masses)
 
     total = np.zeros((n, 2))
 
@@ -93,7 +80,7 @@ def assemble_forces(
         np.add.at(total, src, push)
 
     total += _cg_force_all(p, cg, instance.masses, hp)
-    total += _radius_force_all(p, v, r, c, target_radius, hp)
+    total += _radius_force_all(p, v, r, target_radius, hp)
 
     norms = np.sqrt(total[:, 0] ** 2 + total[:, 1] ** 2)
     over = norms >= hp.f_max
@@ -104,7 +91,7 @@ def assemble_forces(
 
 def _cg_gradient_all(cg, masses, epsilon):
     # cg_gradient for every circle at once, as (N, 2); None where it is zero.
-    norm = math.sqrt(cg[0] * cg[0] + cg[1] * cg[1])
+    norm = cg_offset(cg)
     if norm < epsilon or norm == 0.0:
         return None
     return (masses / masses.sum())[:, None] * (cg / norm)[None, :]
@@ -117,8 +104,8 @@ def _cg_force_all(p, cg, masses, hp):
     return -hp.alpha * grad
 
 
-def _radius_force_all(p, v, r, center, target_radius, hp):
-    delta = center[None, :] - p
+def _radius_force_all(p, v, r, target_radius, hp):
+    delta = -p
     dist = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
     force = (delta / (dist + hp.epsilon)[:, None]) * hp.v_max - v
     inside = dist + r <= target_radius + CONTAINMENT_EPS

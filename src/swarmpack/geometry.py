@@ -14,8 +14,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import InvalidInputError
-
 
 class InvalidGeometryError(ValueError):
     """Non-finite coordinates, non-positive radii, or mismatched lengths."""
@@ -47,31 +45,18 @@ class Disk:
         return math.pi * self.radius * self.radius
 
 
-def lens_area_from_distance(dist, r_a, r_b):
-    """Overlap area of two disks given their center distance, vectorized.
+def lens_area_from_distance(d, r_a, r_b):
+    """Lens areas of overlapping disk pairs, from 1-D arrays with d < r_a + r_b.
 
-    The disjoint (zero) and contained (smaller disk) branches are handled
-    before the two-segment formula; arccos arguments are clipped so inputs
-    within rounding of a branch boundary land on it instead of going NaN.
+    A contained pair (d <= |r_a - r_b|) overlaps in the smaller disk; the
+    rest take the two-segment formula, with arccos arguments clipped so
+    inputs within rounding of the containment boundary land on it instead
+    of going NaN.
     """
-    d, ra, rb = np.broadcast_arrays(
-        np.asarray(dist, dtype=float),
-        np.asarray(r_a, dtype=float),
-        np.asarray(r_b, dtype=float),
-    )
-    scalar = d.ndim == 0
-    d = np.atleast_1d(d)
-    ra = np.atleast_1d(ra)
-    rb = np.atleast_1d(rb)
-
-    out = np.zeros(d.shape)
-    small = np.minimum(ra, rb)
-    contained = d <= np.abs(ra - rb)
-    out[contained] = math.pi * small[contained] ** 2
-
-    partial = ~contained & (d < ra + rb)
+    out = math.pi * np.minimum(r_a, r_b) ** 2
+    partial = d > np.abs(r_a - r_b)
     if np.any(partial):
-        dp, rap, rbp = d[partial], ra[partial], rb[partial]
+        dp, rap, rbp = d[partial], r_a[partial], r_b[partial]
         cos_a = np.clip((dp * dp + rap * rap - rbp * rbp) / (2.0 * dp * rap), -1.0, 1.0)
         cos_b = np.clip((dp * dp + rbp * rbp - rap * rap) / (2.0 * dp * rbp), -1.0, 1.0)
         # Heron-style product: the sqrt is four times the triangle area
@@ -82,17 +67,19 @@ def lens_area_from_distance(dist, r_a, r_b):
             + rbp * rbp * np.arccos(cos_b)
             - 0.5 * np.sqrt(np.maximum(tri, 0.0))
         )
-    return float(out[0]) if scalar else out
+    return out
 
 
 def lens_area(a: Disk, b: Disk) -> float:
-    """Overlap (lens) area of two disks."""
+    """Overlap (lens) area of two disks; zero when disjoint or tangent."""
     dx = b.center.x - a.center.x
     dy = b.center.y - a.center.y
     if not (math.isfinite(dx) and math.isfinite(dy)):
         raise InvalidGeometryError("disk centers must be finite")
     d = math.sqrt(dx * dx + dy * dy)
-    return float(lens_area_from_distance(d, a.radius, b.radius))
+    if d >= a.radius + b.radius:
+        return 0.0
+    return float(lens_area_from_distance(np.array([d]), np.array([a.radius]), np.array([b.radius]))[0])
 
 
 @lru_cache(maxsize=32)
@@ -131,24 +118,20 @@ class Contacts(NamedTuple):
     d: np.ndarray
 
 
-def contact_pairs(positions, radii, method: str = "auto") -> Contacts:
+def contact_pairs(positions, radii) -> Contacts:
     """The one pair search per layout; overlap sums and force triggers filter it.
 
-    ``naive`` tests every pair; ``grid`` tests only pairs from neighboring
-    cells of a cell list. Both return bitwise-identical arrays because the
-    distance of a pair is computed the same way whichever search found it;
-    ``auto`` picks by swarm size.
+    Below GRID_AUTO_THRESHOLD circles every pair is tested; from there up,
+    only pairs from neighboring cells of a cell list. Both searches return
+    bitwise-identical arrays because the distance of a pair is computed the
+    same way whichever search found it.
     """
     p = _as_points(positions)
     r = _as_radii(radii, p)
     n = p.shape[0]
-    if method == "auto":
-        method = "grid" if n >= GRID_AUTO_THRESHOLD else "naive"
-    if method == "naive":
+    if n < GRID_AUTO_THRESHOLD:
         return _touching(p, r, *_upper_pairs(n))
-    if method == "grid":
-        return _cell_list_contacts(p, r)
-    raise InvalidInputError(f"unknown pair-finding method {method!r}")
+    return _cell_list_contacts(p, r)
 
 
 def _touching(p, r, iu, ju) -> Contacts:
@@ -228,10 +211,14 @@ def center_of_gravity(positions, masses) -> np.ndarray:
     return (m[:, None] * p).sum(axis=0) / total
 
 
-def cg_violation(positions, masses) -> float:
-    """Distance of the gravity center from the origin."""
-    cg = center_of_gravity(positions, masses)
+def cg_offset(cg) -> float:
+    """Distance of a gravity center ``cg`` from the origin."""
     return math.sqrt(cg[0] * cg[0] + cg[1] * cg[1])
+
+
+def cg_violation(positions, masses) -> float:
+    """Distance of the layout's gravity center from the origin."""
+    return cg_offset(center_of_gravity(positions, masses))
 
 
 def enclosing_radius(positions, radii, center=(0.0, 0.0)) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import IO
+from typing import IO, Optional
 
 from .model import IterationRecord, ProblemInstance, SolveResult, validate_instance
 from .solver import convergence_milestones
@@ -40,6 +40,17 @@ def _parse_number(token: str, what: str, line_no: int) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise ParseError(f"line {line_no}: {what} must be positive and finite, got {token}")
     return value
+
+
+def _finite_number(value) -> Optional[float]:
+    # A JSON number as a finite float; None for anything else, bools included.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        return None
+    return number if math.isfinite(number) else None
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -109,8 +120,11 @@ def parse_instance_json(text: str) -> ProblemInstance:
     for pos, entry in enumerate(circles):
         if not isinstance(entry, dict) or "radius" not in entry or "mass" not in entry:
             raise ParseError(f"circle {pos}: expected an object with 'radius' and 'mass'")
-        radii.append(entry["radius"])
-        masses.append(entry["mass"])
+        for key, values in (("radius", radii), ("mass", masses)):
+            value = _finite_number(entry[key])
+            if value is None:
+                raise ParseError(f"circle {pos}: {key} must be a finite number, got {entry[key]!r}")
+            values.append(value)
     instance = ProblemInstance(name=str(data["name"]), radii=radii, masses=masses)
     problems = validate_instance(instance)
     if problems:
@@ -149,7 +163,12 @@ def format_result_json(result: SolveResult) -> str:
 
 
 def parse_result_dict(text: str) -> dict:
-    """Light validation of a result JSON document, for re-rendering."""
+    """Light validation of a result JSON document, for re-rendering.
+
+    A feasible result must carry a positive finite ``best_radius``, two
+    finite numbers per position and a finite number for every radius and
+    mass; whether the layout is a valid packing is not checked.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -164,9 +183,18 @@ def parse_result_dict(text: str) -> dict:
     if not isinstance(radii, list) or not isinstance(masses, list) or len(radii) != len(masses):
         raise ParseError("radii and masses must be lists of equal length")
     if data["feasible"]:
+        best = _finite_number(data["best_radius"])
+        if best is None or best <= 0.0:
+            raise ParseError(f"best_radius must be a positive finite number, got {data['best_radius']!r}")
         positions = data["positions"]
         if not isinstance(positions, list) or len(positions) != len(radii):
             raise ParseError("positions must list one [x, y] per circle")
+        for k, point in enumerate(positions):
+            if not (isinstance(point, list) and len(point) == 2 and all(_finite_number(x) is not None for x in point)):
+                raise ParseError(f"position {k} must be two finite numbers, got {point!r}")
+        for k, (radius, mass) in enumerate(zip(radii, masses)):
+            if _finite_number(radius) is None or _finite_number(mass) is None:
+                raise ParseError(f"circle {k}: radius and mass must be finite numbers, got {radius!r} and {mass!r}")
     return data
 
 

@@ -122,14 +122,10 @@ def validate_hyperparameters(hp: Hyperparameters) -> list[str]:
 
 @dataclass
 class SwarmState:
-    """Positions and velocities of one solver run.
-
-    ``accelerations`` is optional; the solver neither sets nor reads it.
-    """
+    """Positions and velocities of the swarm, as (N, 2) arrays."""
 
     positions: np.ndarray
     velocities: np.ndarray
-    accelerations: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import integrate_step
 from .forces import assemble_forces
-from .geometry import Contacts, center_of_gravity, contact_pairs, enclosing_radius, total_overlap
+from .geometry import Contacts, center_of_gravity, cg_offset, contact_pairs, enclosing_radius, total_overlap
 from .init import initial_state
 from .model import (
     Hyperparameters,
@@ -37,8 +37,8 @@ from .model import (
 # target == actual from reading as infeasible through rounding.
 FEASIBLE_RADIUS_EPS = 1e-9
 
-# Milestone thresholds reported by the bench harness: fractions above the
-# final radius, loosest first.
+# Milestone thresholds the result JSON and the bench report write: fractions
+# above the final radius, loosest first.
 MILESTONE_THRESHOLDS = (0.10, 0.05, 0.01, 0.005, 0.001)
 
 
@@ -55,7 +55,7 @@ def _evaluate(
 ):
     overlap = total_overlap(state.positions, instance.radii, contacts=contacts)
     cg = center_of_gravity(state.positions, instance.masses)
-    cgv = math.sqrt(cg[0] * cg[0] + cg[1] * cg[1])
+    cgv = cg_offset(cg)
     encl = enclosing_radius(state.positions, instance.radii, cg)
     feasible = overlap <= overlap_tol and encl <= target_radius + FEASIBLE_RADIUS_EPS
     return overlap, cg, cgv, encl, feasible
@@ -82,7 +82,6 @@ def solve(
 
     state, schedule = initial_state(instance, hp)
     overlap_tol = hp.resolved_overlap_tol(instance)
-    origin = np.zeros(2)
     radii = instance.radii
     masses = instance.masses
     contacts = contact_pairs(state.positions, radii)
@@ -95,7 +94,7 @@ def solve(
 
     for t in range(1, hp.n_it + 1):
         target = schedule.target_radius
-        forces = assemble_forces(state, instance, origin, target, hp, contacts=contacts, cg=cg)
+        forces = assemble_forces(state, instance, target, hp, contacts, cg)
         try:
             state = integrate_step(state, forces, masses, hp)
         except InvalidInputError as exc:
@@ -138,12 +137,8 @@ def solve(
     )
 
 
-def convergence_milestones(
-    history: Sequence[IterationRecord],
-    final_radius: float,
-    thresholds: Sequence[float] = MILESTONE_THRESHOLDS,
-) -> dict[str, Optional[int]]:
-    """First iteration whose best-so-far radius is within each threshold.
+def convergence_milestones(history: Sequence[IterationRecord], final_radius: float) -> dict[str, Optional[int]]:
+    """First iteration whose best-so-far radius is within each of MILESTONE_THRESHOLDS.
 
     A threshold p is reached at the first iteration where the smallest
     feasible radius seen so far drops to (1+p) times ``final_radius``.
@@ -156,7 +151,7 @@ def convergence_milestones(
     if not any(rec.feasible for rec in history):
         raise NoMilestonesError("run never reached a feasible layout")
     out: dict[str, Optional[int]] = {}
-    for p in thresholds:
+    for p in MILESTONE_THRESHOLDS:
         bar = (1.0 + p) * final_radius
         best = math.inf
         hit: Optional[int] = None

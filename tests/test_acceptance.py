@@ -16,12 +16,15 @@ import time
 import numpy as np
 import pytest
 
+from swarmpack import geometry
 from swarmpack.corpus import CORPUS
 from swarmpack.forces import assemble_forces, cg_gradient
 from swarmpack.geometry import (
     Disk,
     Point2,
+    center_of_gravity,
     cg_violation,
+    contact_pairs,
     enclosing_radius,
     lens_area,
     total_overlap,
@@ -246,7 +249,7 @@ def test_c08_identical_runs_serialize_identically():
     _report(8, ok, f"two identical runs produce byte-identical JSON ({len(first)} bytes)")
 
 
-def test_c09_grid_and_naive_forces_bitwise_equal():
+def test_c09_grid_and_naive_forces_bitwise_equal(monkeypatch):
     rng = np.random.default_rng(99)
     mismatches = 0
     for k in range(20):
@@ -257,12 +260,15 @@ def test_c09_grid_and_naive_forces_bitwise_equal():
         state = SwarmState(
             positions=rng.uniform(-spread, spread, (100, 2)),
             velocities=rng.uniform(-1.0, 1.0, (100, 2)),
-            accelerations=np.zeros((100, 2)),
         )
         target = 0.8 * enclosing_radius(state.positions, radii)
         hp = Hyperparameters()
-        naive = assemble_forces(state, inst, (0.0, 0.0), target, hp, method="naive")
-        grid = assemble_forces(state, inst, (0.0, 0.0), target, hp, method="grid")
+        cg = center_of_gravity(state.positions, masses)
+        # The size threshold above N=100 forces all pairs; below it, the cell list.
+        monkeypatch.setattr(geometry, "GRID_AUTO_THRESHOLD", 101)
+        naive = assemble_forces(state, inst, target, hp, contact_pairs(state.positions, radii), cg)
+        monkeypatch.setattr(geometry, "GRID_AUTO_THRESHOLD", 99)
+        grid = assemble_forces(state, inst, target, hp, contact_pairs(state.positions, radii), cg)
         mismatches += naive.tobytes() != grid.tobytes()
     ok = mismatches == 0
     _report(9, ok, "20 random 100-circle states, grid forces bitwise equal to naive")

@@ -192,6 +192,31 @@ def test_export_refuses_infeasible_results(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, document, fragment",
+    [
+        ("solve", {"name": "x", "circles": [{"radius": "abc", "mass": 1}]}, "circle 0: radius"),
+        ("solve", {"name": "x", "circles": [{"radius": True, "mass": 1}]}, "circle 0: radius"),
+        ("solve", {"name": "x", "circles": [{"radius": 10**400, "mass": 1}]}, "circle 0: radius"),
+        ("export", {"best_radius": "abc"}, "best_radius"),
+        ("export", {"positions": [[0]]}, "position 0"),
+    ],
+)
+def test_malformed_json_inputs_exit_with_2(tmp_path, capsys, command, document, fragment):
+    path = tmp_path / "input.json"
+    if command == "solve":
+        path.write_text(json.dumps(document), encoding="utf-8")
+        argv = ("solve", str(path), "--iters", "1")
+    else:
+        result = {"instance": "x", "radii": [1.0], "masses": [1.0], "feasible": True,
+                  "best_radius": 1.0, "positions": [[0.0, 0.0]], **document}
+        path.write_text(json.dumps(result), encoding="utf-8")
+        argv = ("export", "--result", str(path), "--svg", str(tmp_path / "x.svg"))
+    assert run(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and len(err.splitlines()) == 1
+
+
 def test_missing_result_file_is_a_usage_error(tmp_path, capsys):
     assert run("export", "--result", str(tmp_path / "absent.json"), "--svg", str(tmp_path / "x.svg")) == EXIT_USAGE
     capsys.readouterr()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from swarmpack import geometry
 from swarmpack.geometry import GRID_AUTO_THRESHOLD, center_of_gravity, cg_violation, contact_pairs, total_overlap
 from swarmpack.forces import assemble_forces, cg_gradient, find_overlap_pairs
-from swarmpack.model import Hyperparameters, InvalidInputError, ProblemInstance, SwarmState
+from swarmpack.model import Hyperparameters, ProblemInstance, SwarmState
 
 from oracles import cg_force, fd_cg_gradient, overlap_force, radius_force, resultant_force
 
@@ -26,10 +27,28 @@ def random_setup(rng, n, spread=4.0):
     return state, inst
 
 
+def forces_of(state, inst, target, hp, contacts=None):
+    # assemble_forces on the layout's own contacts and gravity center, as solve calls it.
+    if contacts is None:
+        contacts = contact_pairs(state.positions, inst.radii)
+    return assemble_forces(state, inst, target, hp, contacts, center_of_gravity(state.positions, inst.masses))
+
+
 # ---------------------------------------------------------------- pair finding
 
-def overlap_pairs(positions, radii, method="auto"):
-    return find_overlap_pairs(radii, contact_pairs(positions, radii, method))
+SEARCHES = ("all pairs", "cell list")
+
+
+def contacts_by(search, positions, radii):
+    # contact_pairs forced onto one search by moving the size threshold.
+    threshold = len(radii) + 1 if search == "all pairs" else 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "GRID_AUTO_THRESHOLD", threshold)
+        return contact_pairs(positions, radii)
+
+
+def overlap_pairs(positions, radii):
+    return find_overlap_pairs(radii, contact_pairs(positions, radii))
 
 
 def test_no_pairs_for_separated_or_tiny_swarms():
@@ -74,8 +93,7 @@ def broad_phase_layouts():
 
 def test_grid_and_naive_agree_on_random_states():
     for positions, radii in broad_phase_layouts():
-        naive = contact_pairs(positions, radii, "naive")
-        grid = contact_pairs(positions, radii, "grid")
+        naive, grid = (contacts_by(search, positions, radii) for search in SEARCHES)
         for a, b in zip(naive, grid):
             assert a.tobytes() == b.tobytes()
         assert total_overlap(positions, radii, contacts=grid) == total_overlap(positions, radii, contacts=naive)
@@ -86,18 +104,18 @@ def test_grid_and_naive_agree_on_random_states():
 def test_grid_handles_coincident_centers():
     positions = np.zeros((5, 2))
     radii = np.full(5, 1.0)
-    naive = overlap_pairs(positions, radii, "naive")
-    grid = overlap_pairs(positions, radii, "grid")
+    naive, grid = (find_overlap_pairs(radii, contacts_by(search, positions, radii)) for search in SEARCHES)
     assert naive.tobytes() == grid.tobytes()
     assert naive.shape[0] == 5 * 4
 
 
-def test_unknown_method_is_rejected():
-    with pytest.raises(InvalidInputError):
-        contact_pairs(np.zeros((2, 2)), np.ones(2), "bogus")
-    state, inst = make_state(np.zeros((2, 2))), make_instance([1.0, 1.0])
-    with pytest.raises(InvalidInputError):
-        assemble_forces(state, inst, (0.0, 0.0), 5.0, Hyperparameters(), method="bogus")
+def test_pair_search_follows_the_size_threshold(monkeypatch):
+    # The cell list runs from GRID_AUTO_THRESHOLD circles up, all pairs below.
+    sizes = []
+    monkeypatch.setattr(geometry, "_cell_list_contacts", lambda p, r: sizes.append(len(p)))
+    for n in (GRID_AUTO_THRESHOLD - 1, GRID_AUTO_THRESHOLD):
+        contact_pairs(np.zeros((n, 2)), np.ones(n))
+    assert sizes == [GRID_AUTO_THRESHOLD]
 
 
 # ------------------------------------------------- per-circle formulas (oracles)
@@ -224,7 +242,7 @@ def test_assembly_equals_per_circle_composition():
         n = int(rng.integers(2, 16))
         state, inst = random_setup(rng, n, spread=3.0)
         target = float(rng.uniform(2.0, 6.0))
-        total = assemble_forces(state, inst, (0.0, 0.0), target, hp)
+        total = forces_of(state, inst, target, hp)
         for i in range(n):
             contributions = [overlap_force(i, j, state, inst, hp) for j in range(n) if j != i]
             contributions.append(cg_force(i, state, inst, hp))
@@ -232,20 +250,17 @@ def test_assembly_equals_per_circle_composition():
             assert np.array_equal(total[i], resultant_force(contributions, hp))
 
 
-def test_assembly_is_method_independent_bitwise():
+def test_assembly_is_search_independent_bitwise():
     rng = np.random.default_rng(16)
     hp = Hyperparameters()
     for _ in range(10):
         n = int(rng.integers(2, 80))
         state, inst = random_setup(rng, n, spread=6.0)
         target = float(rng.uniform(3.0, 10.0))
-        naive = assemble_forces(state, inst, (0.0, 0.0), target, hp, method="naive")
-        grid = assemble_forces(state, inst, (0.0, 0.0), target, hp, method="grid")
+        naive, grid = (
+            forces_of(state, inst, target, hp, contacts_by(search, state.positions, inst.radii)) for search in SEARCHES
+        )
         assert naive.tobytes() == grid.tobytes()
-        contacts = contact_pairs(state.positions, inst.radii)
-        cg = center_of_gravity(state.positions, inst.masses)
-        given = assemble_forces(state, inst, (0.0, 0.0), target, hp, contacts=contacts, cg=cg)
-        assert given.tobytes() == naive.tobytes()
 
 
 def test_overlap_pushes_conserve_momentum_at_rest():
@@ -255,7 +270,7 @@ def test_overlap_pushes_conserve_momentum_at_rest():
     state = make_state(positions)
     inst = make_instance([1.0, 1.0, 1.0, 1.0])
     hp = Hyperparameters(f_max=1e9, v_max=3.0)
-    total = assemble_forces(state, inst, (0.0, 0.0), 100.0, hp)
+    total = forces_of(state, inst, 100.0, hp)
     assert np.abs(total.sum(axis=0)).max() <= 1e-9
 
 
@@ -265,6 +280,6 @@ def test_assembled_norms_respect_the_cap():
     for _ in range(20):
         n = int(rng.integers(2, 40))
         state, inst = random_setup(rng, n, spread=2.0)
-        total = assemble_forces(state, inst, (0.0, 0.0), 1.0, hp)
+        total = forces_of(state, inst, 1.0, hp)
         norms = np.sqrt((total ** 2).sum(axis=1))
         assert np.all(norms <= hp.f_max * (1 + 1e-12))

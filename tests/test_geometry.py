@@ -22,9 +22,19 @@ def disk(x, y, r):
     return Disk(Point2(x, y), r)
 
 
+def lens_at(d, ra, rb):
+    # Lens area of two disks whose centers lie d apart.
+    return lens_area(disk(0.0, 0.0, ra), disk(d, 0.0, rb))
+
+
 def test_identical_disks_overlap_in_full_area():
     d = disk(1.0, -2.0, 3.0)
     assert lens_area(d, d) == math.pi * 9.0
+    # Coincident centers (d = 0) take the contained branch, without warnings.
+    with np.errstate(all="raise"):
+        three = np.array([3.0])
+        assert lens_area_from_distance(np.array([0.0]), three, three).tolist() == [math.pi * 9.0]
+        assert total_overlap([(1.0, -2.0), (1.0, -2.0)], [3.0, 3.0]) == math.pi * 9.0
 
 
 def test_unit_disks_one_apart_match_closed_form():
@@ -54,8 +64,8 @@ def test_lens_symmetry_and_bounds():
     for _ in range(300):
         ra, rb = rng.uniform(0.3, 4.0, 2)
         d = rng.uniform(0.0, 1.3) * (ra + rb)
-        ab = lens_area_from_distance(d, ra, rb)
-        ba = lens_area_from_distance(d, rb, ra)
+        ab = lens_at(d, ra, rb)
+        ba = lens_at(d, rb, ra)
         assert ab == pytest.approx(ba, rel=1e-12, abs=1e-15)
         min_area = math.pi * min(ra, rb) ** 2
         assert 0.0 <= ab <= min_area * (1.0 + 1e-12)
@@ -69,9 +79,9 @@ def test_lens_is_continuous_at_branch_boundaries():
         ra, rb = rng.uniform(0.5, 3.0, 2)
         delta = 1e-8 * max(ra, rb)
         for boundary in (ra + rb, abs(ra - rb)):
-            at = lens_area_from_distance(boundary, ra, rb)
-            lo = lens_area_from_distance(max(boundary - delta, 0.0), ra, rb)
-            hi = lens_area_from_distance(boundary + delta, ra, rb)
+            at = lens_at(boundary, ra, rb)
+            lo = lens_at(max(boundary - delta, 0.0), ra, rb)
+            hi = lens_at(boundary + delta, ra, rb)
             assert abs(at - lo) <= 1e-9
             assert abs(at - hi) <= 1e-9
 
@@ -81,9 +91,12 @@ def test_lens_vector_path_matches_scalar_calls():
     d = rng.uniform(0.0, 5.0, 64)
     ra = rng.uniform(0.3, 3.0, 64)
     rb = rng.uniform(0.3, 3.0, 64)
+    # The kernel only sees contacts, as total_overlap passes them.
+    hit = d < ra + rb
+    d, ra, rb = d[hit], ra[hit], rb[hit]
     vec = lens_area_from_distance(d, ra, rb)
-    for k in range(64):
-        assert vec[k] == lens_area_from_distance(d[k], ra[k], rb[k])
+    for k in range(d.shape[0]):
+        assert vec[k] == lens_area_from_distance(d[k : k + 1], ra[k : k + 1], rb[k : k + 1])[0]
 
 
 def test_lens_rejects_bad_disks():

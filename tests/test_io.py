@@ -104,6 +104,9 @@ def test_instance_json_round_trip():
         "{\"name\": \"x\", \"circles\": [{\"radius\": 1}]}",
         "{\"name\": \"x\", \"circles\": [{\"radius\": 1, \"mass\": -1}]}",
         "{not json",
+        "{\"name\": \"x\", \"circles\": [{\"radius\": \"abc\", \"mass\": 1}]}",
+        "{\"name\": \"x\", \"circles\": [{\"radius\": true, \"mass\": 1}]}",
+        "{\"name\": \"x\", \"circles\": [{\"radius\": 1, \"mass\": null}]}",
     ],
 )
 def test_instance_json_rejects_malformed_documents(text):
@@ -160,6 +163,11 @@ def test_infeasible_result_serializes_with_nulls():
         lambda d: d.pop("positions"),
         lambda d: d.update(radii=[1.0]),
         lambda d: d.update(positions=None),
+        lambda d: d.update(best_radius="abc"),
+        lambda d: d.update(best_radius=-1.0),
+        lambda d: d["positions"].__setitem__(0, [0]),
+        lambda d: d["positions"].__setitem__(2, [1.0, None]),
+        lambda d: d["radii"].__setitem__(1, "abc"),
     ],
 )
 def test_result_parse_rejects_broken_documents(mangle):

@@ -202,8 +202,8 @@ def test_milestones_walk_the_best_so_far():
 
 def test_milestones_against_a_foreign_reference_may_stay_open():
     history = [record_of(10, 110.0), record_of(20, 104.0)]
-    got = convergence_milestones(history, 100.0, thresholds=(0.10, 0.01))
-    assert list(got.items()) == [("0.1", 10), ("0.01", None)]
+    got = convergence_milestones(history, 100.0)
+    assert list(got.items()) == [("0.1", 10), ("0.05", 20), ("0.01", None), ("0.005", None), ("0.001", None)]
 
 
 def test_milestones_require_a_feasible_run_and_sane_reference():
