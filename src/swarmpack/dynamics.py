@@ -16,7 +16,7 @@ def integrate_step(state: SwarmState, forces, masses, hp: Hyperparameters) -> Sw
     left to clamp to and raises InvalidInputError.
     """
     m = np.asarray(masses, dtype=float)
-    if np.any(m <= 0.0):
+    if (m <= 0.0).any():
         raise InvalidInputError("masses must be positive")
     f = np.asarray(forces, dtype=float)
     acc = f / m[:, None]

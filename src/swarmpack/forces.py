@@ -38,16 +38,18 @@ def find_overlap_pairs(radii, contacts: Contacts) -> np.ndarray:
     """
     i, j, d = contacts
     hit = d < radii[i] + radii[j] - OVERLAP_TRIGGER_EPS
-    return _directed_sorted(i[hit], j[hit])
+    return _directed_sorted(i[hit], j[hit], radii.shape[0])
 
 
-def _directed_sorted(i, j):
-    if i.shape[0] == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    src = np.concatenate([i, j])
-    dst = np.concatenate([j, i])
-    order = np.lexsort((dst, src))
-    return np.stack([src[order], dst[order]], axis=1)
+def _directed_sorted(i, j, n):
+    # Both directions of each pair i < j, as the sorted unique keys src * n + dst.
+    key = np.concatenate((i * n + j, j * n + i))
+    key.sort()
+    src, dst = np.divmod(key, n)
+    pairs = np.empty((key.shape[0], 2), dtype=np.int64)
+    pairs[:, 0] = src
+    pairs[:, 1] = dst
+    return pairs
 
 
 def assemble_forces(
@@ -84,7 +86,7 @@ def assemble_forces(
 
     norms = np.sqrt(total[:, 0] ** 2 + total[:, 1] ** 2)
     over = norms >= hp.f_max
-    if np.any(over):
+    if over.any():
         total[over] *= (hp.f_max / norms[over])[:, None]
     return total
 

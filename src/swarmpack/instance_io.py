@@ -125,7 +125,11 @@ def parse_instance_json(text: str) -> ProblemInstance:
             if value is None:
                 raise ParseError(f"circle {pos}: {key} must be a finite number, got {entry[key]!r}")
             values.append(value)
-    instance = ProblemInstance(name=str(data["name"]), radii=radii, masses=masses)
+    name = data["name"]
+    if not isinstance(name, str):
+        # validate_instance rejects an empty name or one with whitespace.
+        raise ParseError(f"'name' must be a string, got {name!r}")
+    instance = ProblemInstance(name=name, radii=radii, masses=masses)
     problems = validate_instance(instance)
     if problems:
         raise ParseError("; ".join(problems))
@@ -165,9 +169,10 @@ def format_result_json(result: SolveResult) -> str:
 def parse_result_dict(text: str) -> dict:
     """Light validation of a result JSON document, for re-rendering.
 
-    A feasible result must carry a positive finite ``best_radius``, two
-    finite numbers per position and a finite number for every radius and
-    mass; whether the layout is a valid packing is not checked.
+    ``feasible`` must be a JSON bool. A feasible result must carry a
+    positive finite ``best_radius``, two finite numbers per position and a
+    finite number for every radius and mass; whether the layout is a valid
+    packing is not checked.
     """
     try:
         data = json.loads(text)
@@ -182,6 +187,8 @@ def parse_result_dict(text: str) -> dict:
     masses = data["masses"]
     if not isinstance(radii, list) or not isinstance(masses, list) or len(radii) != len(masses):
         raise ParseError("radii and masses must be lists of equal length")
+    if not isinstance(data["feasible"], bool):
+        raise ParseError(f"feasible must be true or false, got {data['feasible']!r}")
     if data["feasible"]:
         best = _finite_number(data["best_radius"])
         if best is None or best <= 0.0:

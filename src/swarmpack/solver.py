@@ -2,13 +2,14 @@
 
 One iteration: assemble forces against the current target radius (container
 anchored at the origin), step the dynamics, then judge the new layout. Each
-layout gets one pair search (``contact_pairs``) and one gravity center; both
-serve the evaluation that judges it and the forces of the next iteration. A
-layout is feasible when its total overlap is inside tolerance and the
-enclosing radius measured about its own gravity center fits the target. Each
-feasible layout ratchets the target down via the schedule; the smallest
-feasible radius seen is kept, translated so the gravity center lands on the
-origin.
+layout gets its contacts from the run's one NeighbourList, which reruns the
+pair search only when some circle has moved past half its skin, and one
+gravity center; both serve the evaluation that judges the layout and the
+forces of the next iteration. A layout is feasible when its total overlap
+is inside tolerance and the enclosing radius measured about its own gravity
+center fits the target. Each feasible layout ratchets the target down via
+the schedule; the smallest feasible radius seen is kept, translated so the
+gravity center lands on the origin.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .dynamics import integrate_step
 from .forces import assemble_forces
-from .geometry import Contacts, center_of_gravity, cg_offset, contact_pairs, enclosing_radius, total_overlap
+from .geometry import Contacts, NeighbourList, center_of_gravity, cg_offset, enclosing_radius, total_overlap
 from .init import initial_state
 from .model import (
     Hyperparameters,
@@ -82,9 +83,9 @@ def solve(
 
     state, schedule = initial_state(instance, hp)
     overlap_tol = hp.resolved_overlap_tol(instance)
-    radii = instance.radii
     masses = instance.masses
-    contacts = contact_pairs(state.positions, radii)
+    neighbours = NeighbourList(instance.radii, hp.v_max * hp.dt)
+    contacts = neighbours.contacts(state.positions)
     cg = center_of_gravity(state.positions, masses)
 
     history: list[IterationRecord] = []
@@ -99,7 +100,7 @@ def solve(
             state = integrate_step(state, forces, masses, hp)
         except InvalidInputError as exc:
             raise InvalidInputError(f"iteration {t}: {exc}") from None
-        contacts = contact_pairs(state.positions, radii)
+        contacts = neighbours.contacts(state.positions)
         overlap, cg, cgv, encl, feasible = _evaluate(state, instance, target, overlap_tol, contacts)
         if not (math.isfinite(encl) and math.isfinite(cgv)):
             raise InvalidInputError(

@@ -200,6 +200,8 @@ def test_export_refuses_infeasible_results(tmp_path, capsys):
         ("solve", {"name": "x", "circles": [{"radius": 10**400, "mass": 1}]}, "circle 0: radius"),
         ("export", {"best_radius": "abc"}, "best_radius"),
         ("export", {"positions": [[0]]}, "position 0"),
+        ("solve", {"name": None, "circles": [{"radius": 1, "mass": 1}]}, "'name'"),
+        ("export", {"feasible": "no"}, "feasible"),
     ],
 )
 def test_malformed_json_inputs_exit_with_2(tmp_path, capsys, command, document, fragment):
@@ -215,6 +217,7 @@ def test_malformed_json_inputs_exit_with_2(tmp_path, capsys, command, document, 
     assert run(*argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_missing_result_file_is_a_usage_error(tmp_path, capsys):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from swarmpack import geometry
-from swarmpack.geometry import GRID_AUTO_THRESHOLD, center_of_gravity, cg_violation, contact_pairs, total_overlap
+from swarmpack.geometry import (
+    GRID_AUTO_THRESHOLD,
+    NeighbourList,
+    center_of_gravity,
+    cg_violation,
+    contact_pairs,
+    total_overlap,
+)
 from swarmpack.forces import assemble_forces, cg_gradient, find_overlap_pairs
 from swarmpack.model import Hyperparameters, ProblemInstance, SwarmState
 
@@ -112,10 +119,88 @@ def test_grid_handles_coincident_centers():
 def test_pair_search_follows_the_size_threshold(monkeypatch):
     # The cell list runs from GRID_AUTO_THRESHOLD circles up, all pairs below.
     sizes = []
-    monkeypatch.setattr(geometry, "_cell_list_contacts", lambda p, r: sizes.append(len(p)))
+    monkeypatch.setattr(geometry, "_cell_list_contacts", lambda p, r, skin=0.0: sizes.append(len(p)))
     for n in (GRID_AUTO_THRESHOLD - 1, GRID_AUTO_THRESHOLD):
         contact_pairs(np.zeros((n, 2)), np.ones(n))
     assert sizes == [GRID_AUTO_THRESHOLD]
+
+
+# ------------------------------------------------------------ neighbour list
+
+def assert_same_contacts(neighbours, positions, radii):
+    got, want = neighbours.contacts(positions), contact_pairs(positions, radii)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def unit_vectors(rng, n):
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    return np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_neighbour_list_matches_contact_pairs_on_random_walks():
+    rng = np.random.default_rng(11)
+    for positions, radii in broad_phase_layouts():
+        n = len(radii)
+        neighbours = NeighbourList(radii, 1.0)
+        half = 0.5 * neighbours.skin
+        assert_same_contacts(neighbours, positions, radii)
+        finite = bool(np.isfinite(positions).all())
+        # Every circle jumps from the anchor to just under, then just over,
+        # half the skin: the first keeps the list, the second rebuilds it.
+        for factor, rebuilt in ((1.0 - 1e-3, 0), (1.0 + 1e-3, 1)):
+            before = neighbours.rebuilds
+            step = positions + factor * half * unit_vectors(rng, n)
+            assert_same_contacts(neighbours, step, radii)
+            if finite:
+                assert neighbours.rebuilds - before == rebuilt
+        # Then a walk of steps up to the whole skin, most of them rebuilding.
+        for _ in range(6):
+            positions = positions + rng.uniform(0.0, 2.0 * half, (n, 1)) * unit_vectors(rng, n)
+            assert_same_contacts(neighbours, positions, radii)
+
+
+def test_neighbour_list_rebuilds_before_a_head_on_pair_is_missed():
+    # Two circles just outside the candidate reach close the whole skin.
+    radii = np.array([1.0, 1.0])
+    neighbours = NeighbourList(radii, 1.0)
+    gap = 2.0 + neighbours.skin * (1.0 + 1e-9)
+    positions = np.array([[0.0, 0.0], [gap, 0.0]])
+    assert neighbours.contacts(positions).i.shape[0] == 0
+    for factor in (0.999, 1.001):
+        shift = factor * 0.5 * neighbours.skin
+        closer = positions + np.array([[shift, 0.0], [-shift, 0.0]])
+        assert_same_contacts(neighbours, closer, radii)
+    assert neighbours.contacts(closer).i.tolist() == [0]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_neighbour_list_rebuilds_on_non_finite_states():
+    rng = np.random.default_rng(12)
+    for n in (GRID_AUTO_THRESHOLD - 1, GRID_AUTO_THRESHOLD + 1):
+        radii = rng.uniform(0.5, 1.5, n)
+        positions = rng.uniform(-4.0, 4.0, (n, 2))
+        neighbours = NeighbourList(radii, 1.0)
+        assert_same_contacts(neighbours, positions, radii)
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = positions.copy()
+            broken[n // 2] = bad
+            before = neighbours.rebuilds
+            assert_same_contacts(neighbours, broken, radii)
+            assert_same_contacts(neighbours, positions, radii)
+            assert neighbours.rebuilds - before == 2
+
+
+def test_neighbour_list_without_a_skin_searches_every_call():
+    radii = np.ones(3)
+    positions = np.array([[0.0, 0.0], [1.5, 0.0], [9.0, 0.0]])
+    for travel in (0.0, np.inf):
+        neighbours = NeighbourList(radii, travel)
+        assert neighbours.skin == 0.0
+        for _ in range(3):
+            assert_same_contacts(neighbours, positions, radii)
+        assert neighbours.rebuilds == 3
 
 
 # ------------------------------------------------- per-circle formulas (oracles)

@@ -107,6 +107,10 @@ def test_instance_json_round_trip():
         "{\"name\": \"x\", \"circles\": [{\"radius\": \"abc\", \"mass\": 1}]}",
         "{\"name\": \"x\", \"circles\": [{\"radius\": true, \"mass\": 1}]}",
         "{\"name\": \"x\", \"circles\": [{\"radius\": 1, \"mass\": null}]}",
+        "{\"name\": null, \"circles\": [{\"radius\": 1, \"mass\": 1}]}",
+        "{\"name\": \"\", \"circles\": [{\"radius\": 1, \"mass\": 1}]}",
+        "{\"name\": \"two words\", \"circles\": [{\"radius\": 1, \"mass\": 1}]}",
+        "{\"name\": 7, \"circles\": [{\"radius\": 1, \"mass\": 1}]}",
     ],
 )
 def test_instance_json_rejects_malformed_documents(text):
@@ -168,6 +172,9 @@ def test_infeasible_result_serializes_with_nulls():
         lambda d: d["positions"].__setitem__(0, [0]),
         lambda d: d["positions"].__setitem__(2, [1.0, None]),
         lambda d: d["radii"].__setitem__(1, "abc"),
+        lambda d: d.update(feasible="no"),
+        lambda d: d.update(feasible=1),
+        lambda d: d.update(feasible=None),
     ],
 )
 def test_result_parse_rejects_broken_documents(mangle):

@@ -126,6 +126,26 @@ def test_cell_list_solve_serializes_like_all_pairs(monkeypatch):
     assert format_result_json(solve(inst, hp)) == cell_list
 
 
+class StatelessSearch:
+    # NeighbourList stand-in that runs the full pair search on every layout.
+    def __init__(self, radii, travel):
+        self.radii = radii
+
+    def contacts(self, positions):
+        return contact_pairs(positions, self.radii)
+
+
+@pytest.mark.parametrize("name, n_it", [("I1", 2000), ("II1", 600)])
+def test_neighbour_list_solve_matches_a_search_per_layout(monkeypatch, name, n_it):
+    inst = CORPUS.get(name)
+    hp = Hyperparameters(n_it=n_it, seed=3)
+    listed = solve(inst, hp)
+    monkeypatch.setattr(solver, "NeighbourList", StatelessSearch)
+    searched = solve(inst, hp)
+    assert format_result_json(listed) == format_result_json(searched)
+    assert listed.history == searched.history
+
+
 def test_gravity_center_is_computed_once_per_layout(monkeypatch):
     calls = {"solver": 0, "forces": 0}
 
