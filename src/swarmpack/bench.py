@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import IO, Optional, Sequence
 
+from .corpus import CORPUS
 from .model import Hyperparameters, ProblemInstance
 from .solver import MILESTONE_THRESHOLDS, convergence_milestones, solve
 
@@ -53,9 +54,11 @@ def run_bench(
     reps: int,
     hp: Hyperparameters,
     jobs: int = 1,
-    reference_radii: Optional[dict] = None,
 ) -> tuple[list[RunSummary], dict]:
     """All (instance, seed) runs plus an aggregate report.
+
+    Each instance's entry quotes its published best radius from the corpus,
+    or null for an instance the corpus does not know.
 
     Tasks are dispatched to a process pool when jobs > 1; summaries come
     back in (instance, seed) order either way.
@@ -68,7 +71,6 @@ def run_bench(
     else:
         summaries = list(map(run_single, task_instances, task_hps))
 
-    references = reference_radii or {}
     report: dict = {"repetitions": reps, "hyperparameters": hp.tunables(), "instances": {}}
     for inst in instances:
         rows = [s for s in summaries if s.instance == inst.name]
@@ -76,7 +78,7 @@ def run_bench(
         radii = [s.best_radius for s in feasible]
         entry: dict = {
             "circles": inst.n,
-            "reference_radius": references.get(inst.name),
+            "reference_radius": CORPUS.reference_radii.get(inst.name),
             "feasible_runs": len(feasible),
             "best_radius": min(radii) if radii else None,
             "median_radius": statistics.median(radii) if radii else None,

@@ -123,13 +123,7 @@ def _cmd_bench(args) -> int:
         raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     hp = _hyperparameters(args, default_iters=default_iters)
 
-    summaries, report = run_bench(
-        instances,
-        args.reps,
-        hp,
-        jobs=args.jobs,
-        reference_radii=CORPUS.reference_radii,
-    )
+    summaries, report = run_bench(instances, args.reps, hp, jobs=args.jobs)
 
     any_feasible = False
     for name, entry in report["instances"].items():

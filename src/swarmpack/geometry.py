@@ -1,8 +1,9 @@
 """Planar circle geometry: contact pairs, lens areas, gravity centers, enclosing radii.
 
-``contact_pairs`` searches one layout from scratch; a ``NeighbourList``
-gives a moving layout the same contacts from a Verlet list of candidate
-pairs, rebuilt with that search only after large enough moves.
+``contact_pairs`` searches one layout from scratch: all pairs for small
+swarms, a sort-and-sweep along x for large ones. A ``NeighbourList`` gives
+a moving layout the same contacts from a Verlet list of candidate pairs,
+rebuilt with that search only after large enough moves.
 
 Points are float64 arrays of shape (2,) and point sets are arrays of shape
 (N, 2); the Point2/Disk dataclasses are thin wrappers for single-shape call
@@ -108,12 +109,13 @@ def _as_radii(radii, p) -> np.ndarray:
     return r
 
 
-# Swarm size from which ``contact_pairs`` uses the cell list instead of the
-# all-pairs sweep: the measured crossover. Per contact pass on packed II3
-# subsets (2-vCPU VM, numpy 2.4), all-pairs vs cell list took 28 vs 33 us at
-# N=56, 33 vs 35 at N=64, 42 vs 36 at N=72 and 74 vs 40 at N=100; on the
-# same layouts spread twice as wide the cell list wins from N=60.
-GRID_AUTO_THRESHOLD = 64
+# Swarm size from which ``contact_pairs`` and a NeighbourList rebuild use
+# the sweep instead of all pairs: the measured crossover. Per search on
+# packed II3 subsets (2-vCPU VM, numpy 2.4), all pairs vs sweep took 76 vs
+# 78 us at N=52, 90 vs 82 at N=56, 96 vs 82 at N=60 and 143 vs 103 at N=72;
+# with a rebuild's skin of 16, 98 vs 98 at N=56 and 113 vs 103 at N=60. On
+# the same layouts spread twice as wide the sweep wins from N=48.
+GRID_AUTO_THRESHOLD = 56
 
 
 class Contacts(NamedTuple):
@@ -128,10 +130,11 @@ def contact_pairs(positions, radii) -> Contacts:
     """The stateless pair search of one layout.
 
     Below GRID_AUTO_THRESHOLD circles every pair is tested; from there up,
-    only pairs from neighboring cells of a cell list. Both searches return
-    bitwise-identical arrays because the distance of a pair is computed the
-    same way whichever search found it. ``solve`` gets the same arrays
-    from a NeighbourList, which reruns this search only now and then.
+    only pairs whose x coordinates lie within the widest reach, found by
+    sorting on x and sweeping. Both searches return bitwise-identical
+    arrays because the distance of a pair is computed the same way
+    whichever search found it. ``solve`` gets the same arrays from a
+    NeighbourList, which reruns this search only now and then.
     """
     p = _as_points(positions)
     return _pairs_within(p, _as_radii(radii, p))
@@ -142,7 +145,7 @@ def _pairs_within(p, r, skin=0.0) -> Contacts:
     n = p.shape[0]
     if n < GRID_AUTO_THRESHOLD:
         return _touching(p, r, *_upper_pairs(n), skin)
-    return _cell_list_contacts(p, r, skin)
+    return _sweep_contacts(p, r, skin)
 
 
 def _touching(p, r, iu, ju, skin=0.0) -> Contacts:
@@ -153,48 +156,32 @@ def _touching(p, r, iu, ju, skin=0.0) -> Contacts:
     return Contacts(iu[hit], ju[hit], d[hit])
 
 
-def _cell_list_contacts(p, r, skin=0.0) -> Contacts:
-    # Sort-based cell list: a pair within reach sits in the same or adjacent
-    # cells, so each circle scans three ranges of sorted cell keys, one per
-    # neighboring column, each covering three rows.
+def _sweep_contacts(p, r, skin=0.0) -> Contacts:
+    # Sort and sweep: with the circles sorted by x, every partner a circle
+    # can touch lies in the run of later circles whose x is within
+    # reach = fl(2 r_max + skin). No rounding margin is needed. A pair that
+    # _touching keeps has fl(d) < fl(fl(r_i + r_j) + skin) <= reach, as
+    # rounding is monotone. And fl(d) >= |dx| for dx = fl(x_j - x_i),
+    # because fl(sqrt(fl(dx * dx))) == |dx| (barring underflow below
+    # 1e-154) and adding fl(dy * dy) >= 0 cannot lower the sum. So
+    # fl(x_j - x_i) < reach; by monotone rounding the exact x_j - x_i <
+    # reach, and x_j <= fl(x_i + reach). NaN and inf coordinates need no
+    # special case: a pair with one never hits, wherever the sort puts it.
     n = p.shape[0]
     reach = 2.0 * float(r.max()) + skin if n else 0.0
-    scale = float(np.abs(p).max()) if n else 0.0
-    if n < 2 or not (reach > 0.0 and math.isfinite(reach + scale)):
-        # No cell grid to build; all pairs gives the same answer.
+    if n < 2 or not reach > 0.0:
+        # A non-positive reach would give negative run lengths.
         return _touching(p, r, *_upper_pairs(n), skin)
-    # p / cell rounds with an error that grows with |p| / cell; the margin
-    # keeps a pair just inside reach from landing two cells apart.
-    cell = reach * (1.0 + 16.0 * np.finfo(float).eps * (1.0 + scale / reach))
-    cells = np.floor(p / cell)
-    cells -= cells.min(axis=0) - 1.0
-    if (cells[:, 0].max() + 2.0) * (cells[:, 1].max() + 2.0) >= 2.0**62:
-        # A flattened cell key would overflow int64: renumber the occupied
-        # columns and rows, keeping neighbors adjacent and gaps two wide.
-        cells = np.stack([_squeeze_axis(cells[:, 0]), _squeeze_axis(cells[:, 1])], axis=1)
-    cells = cells.astype(np.int64)
-    height = int(cells[:, 1].max()) + 2
-    key = cells[:, 0] * height + cells[:, 1]
-    order = np.argsort(key)
-    sorted_key = key[order]
-
-    column = (key[:, None] + np.array([-height, 0, height])).ravel()
-    lo = np.searchsorted(sorted_key, column - 1, side="left")
-    hi = np.searchsorted(sorted_key, column + 1, side="right")
-    counts = hi - lo
-    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    ci = np.repeat(np.repeat(np.arange(n), 3), counts)
+    order = np.argsort(p[:, 0])
+    x = p[order, 0]
+    after = np.arange(1, n + 1)
+    counts = np.searchsorted(x, x + reach, side="right") - after
+    first = np.repeat(after - (np.cumsum(counts) - counts), counts)
+    ci = np.repeat(order, counts)
     cj = order[np.arange(first.shape[0]) + first]
-    upper = ci < cj
-    found = _touching(p, r, ci[upper], cj[upper], skin)
+    found = _touching(p, r, np.minimum(ci, cj), np.maximum(ci, cj), skin)
     by_pair = np.argsort(found.i * n + found.j)
     return Contacts(found.i[by_pair], found.j[by_pair], found.d[by_pair])
-
-
-def _squeeze_axis(c):
-    values, inverse = np.unique(c, return_inverse=True)
-    steps = np.minimum(np.diff(values), 2.0)
-    return np.concatenate(([1.0], 1.0 + np.cumsum(steps)))[inverse]
 
 
 # Verlet skin of a NeighbourList, in ticks of top-speed travel v_max * dt

@@ -169,10 +169,10 @@ def format_result_json(result: SolveResult) -> str:
 def parse_result_dict(text: str) -> dict:
     """Light validation of a result JSON document, for re-rendering.
 
-    ``feasible`` must be a JSON bool. A feasible result must carry a
-    positive finite ``best_radius``, two finite numbers per position and a
-    finite number for every radius and mass; whether the layout is a valid
-    packing is not checked.
+    ``instance`` must be a string and ``feasible`` a JSON bool. A feasible
+    result must carry a positive finite ``best_radius``, two finite numbers
+    per position and a finite number for every radius and mass; whether the
+    layout is a valid packing is not checked.
     """
     try:
         data = json.loads(text)
@@ -187,6 +187,8 @@ def parse_result_dict(text: str) -> dict:
     masses = data["masses"]
     if not isinstance(radii, list) or not isinstance(masses, list) or len(radii) != len(masses):
         raise ParseError("radii and masses must be lists of equal length")
+    if not isinstance(data["instance"], str):
+        raise ParseError(f"instance must be a string, got {data['instance']!r}")
     if not isinstance(data["feasible"], bool):
         raise ParseError(f"feasible must be true or false, got {data['feasible']!r}")
     if data["feasible"]:

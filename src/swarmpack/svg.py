@@ -19,6 +19,13 @@ def _ramp_color(mass: float, m_lo: float, m_hi: float) -> str:
     return f"rgb(255,{level},{level})"
 
 
+def _escape(text: str) -> str:
+    # XML character data. xml.sax.saxutils.escape does the same, but its
+    # import pulls in urllib.request and adds about 5 MB to every process
+    # that imports the CLI.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(name, positions, radii, masses, container_radius) -> bytes:
     """Layout as standalone SVG bytes: dashed container, mass ramp, CG cross."""
     p = np.asarray(positions, dtype=float)
@@ -31,7 +38,7 @@ def render_svg(name, positions, radii, masses, container_radius) -> bytes:
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{-view:.4f} {-view:.4f} {2*view:.4f} {2*view:.4f}">',
-        f"<title>{name}</title>",
+        f"<title>{_escape(name)}</title>",
         f'<circle cx="0" cy="0" r="{big!r}" fill="none" stroke="black" '
         f'stroke-width="{stroke:.4f}" stroke-dasharray="{4*stroke:.4f} {3*stroke:.4f}"/>',
     ]

@@ -1,5 +1,6 @@
 import csv
 import json
+from xml.dom import minidom
 
 import pytest
 
@@ -180,6 +181,17 @@ def test_export_round_trips_a_result(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_svg_escapes_the_instance_name(tmp_path, capsys):
+    inst = ProblemInstance("A<b&c", radii=[1.0, 1.5, 2.0], masses=[2.0, 1.0, 3.0])
+    inst_path = tmp_path / "markup.txt"
+    inst_path.write_text(format_instance(inst), encoding="utf-8")
+    svg_path = tmp_path / "markup.svg"
+    assert run("solve", str(inst_path), "--iters", "300", "--out-svg", str(svg_path)) == EXIT_OK
+    title = minidom.parse(str(svg_path)).getElementsByTagName("title")[0]
+    assert title.firstChild.data == "A<b&c"
+    capsys.readouterr()
+
+
 def test_export_refuses_infeasible_results(tmp_path, capsys):
     inst = ProblemInstance("deeppair", radii=[10.0, 10.0], masses=[1.0, 1.0])
     inst_path = tmp_path / "deeppair.txt"
@@ -202,6 +214,7 @@ def test_export_refuses_infeasible_results(tmp_path, capsys):
         ("export", {"positions": [[0]]}, "position 0"),
         ("solve", {"name": None, "circles": [{"radius": 1, "mass": 1}]}, "'name'"),
         ("export", {"feasible": "no"}, "feasible"),
+        ("export", {"instance": {"k": [1]}}, "instance"),
     ],
 )
 def test_malformed_json_inputs_exit_with_2(tmp_path, capsys, command, document, fragment):

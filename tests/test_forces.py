@@ -43,14 +43,17 @@ def forces_of(state, inst, target, hp, contacts=None):
 
 # ---------------------------------------------------------------- pair finding
 
-SEARCHES = ("all pairs", "cell list")
+SEARCHES = ("all pairs", "sweep")
 
 
-def contacts_by(search, positions, radii):
-    # contact_pairs forced onto one search by moving the size threshold.
+def contacts_by(search, positions, radii, skin=0.0):
+    # contact_pairs, or with a skin a NeighbourList rebuild's wider search,
+    # forced onto one search by moving the size threshold.
     threshold = len(radii) + 1 if search == "all pairs" else 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "GRID_AUTO_THRESHOLD", threshold)
+        if skin:
+            return geometry._pairs_within(np.asarray(positions, dtype=float), np.asarray(radii, dtype=float), skin)
         return contact_pairs(positions, radii)
 
 
@@ -92,17 +95,39 @@ def broad_phase_layouts():
             yield rng.uniform(-half, half, (n, 2)), rng.uniform(0.5, 1.5, n)
     yield np.zeros((5, 2)), np.ones(5)
     yield np.array([[0.0, 0.0], [np.nan, 1.0], [0.5, 0.0], [np.inf, 0.0]]), np.ones(4)
-    # Far spread: clusters at coordinates up to 1e12 with unit radii, where a
-    # flattened int64 cell id would overflow and p / cell rounds coarsely.
+    # Far spread: clusters at coordinates up to 1e12 with unit radii.
     clusters = np.repeat(rng.uniform(-1e12, 1e12, (40, 2)), 6, axis=0)
     yield clusters + rng.uniform(-2.2, 2.2, clusters.shape), np.ones(clusters.shape[0])
+    # One vertical line: every x is equal, so every pair is a sweep candidate.
+    n = GRID_AUTO_THRESHOLD + 16
+    line = np.stack([np.full(n, 2.5), np.cumsum(rng.uniform(0.5, 2.5, n))], axis=1)
+    yield line, rng.uniform(0.5, 1.5, n)
+    # Negative radii: at skin 0 there is no positive reach to sweep.
+    yield rng.uniform(-3.0, 3.0, (GRID_AUTO_THRESHOLD, 2)), np.full(GRID_AUTO_THRESHOLD, -1.0)
+    # Chains along x of equal circles whose gaps sit within a few ulps of
+    # r_i + r_j + skin, the sweep's own reach, up to where x rounds to 1/8.
+    for offset in (0.0, 1e3, -1e9, 1e15, -1e15):
+        for skin in (0.0, 16.0):
+            n = GRID_AUTO_THRESHOLD + 6
+            r = float(rng.uniform(0.2, 3.0))
+            x = np.empty(n)
+            x[0] = offset
+            for k in range(1, n):
+                x[k] = x[k - 1] + (r + r + skin)
+                ulps = int(rng.integers(-3, 4))
+                for _ in range(abs(ulps)):
+                    x[k] = np.nextafter(x[k], np.copysign(np.inf, ulps))
+            yield np.stack([x, np.zeros(n)], axis=1), np.full(n, r)
 
 
 def test_grid_and_naive_agree_on_random_states():
     for positions, radii in broad_phase_layouts():
-        naive, grid = (contacts_by(search, positions, radii) for search in SEARCHES)
-        for a, b in zip(naive, grid):
-            assert a.tobytes() == b.tobytes()
+        # A NeighbourList rebuild's wider search, then contact_pairs' own,
+        # whose contacts naive and grid keep for the checks below.
+        for skin in (16.0, 0.0):
+            naive, grid = (contacts_by(search, positions, radii, skin) for search in SEARCHES)
+            for a, b in zip(naive, grid):
+                assert a.tobytes() == b.tobytes()
         assert total_overlap(positions, radii, contacts=grid) == total_overlap(positions, radii, contacts=naive)
         pairs = find_overlap_pairs(radii, naive)
         assert find_overlap_pairs(radii, grid).tobytes() == pairs.tobytes()
@@ -117,9 +142,9 @@ def test_grid_handles_coincident_centers():
 
 
 def test_pair_search_follows_the_size_threshold(monkeypatch):
-    # The cell list runs from GRID_AUTO_THRESHOLD circles up, all pairs below.
+    # The sweep runs from GRID_AUTO_THRESHOLD circles up, all pairs below.
     sizes = []
-    monkeypatch.setattr(geometry, "_cell_list_contacts", lambda p, r, skin=0.0: sizes.append(len(p)))
+    monkeypatch.setattr(geometry, "_sweep_contacts", lambda p, r, skin=0.0: sizes.append(len(p)))
     for n in (GRID_AUTO_THRESHOLD - 1, GRID_AUTO_THRESHOLD):
         contact_pairs(np.zeros((n, 2)), np.ones(n))
     assert sizes == [GRID_AUTO_THRESHOLD]
@@ -149,12 +174,17 @@ def test_neighbour_list_matches_contact_pairs_on_random_walks():
         finite = bool(np.isfinite(positions).all())
         # Every circle jumps from the anchor to just under, then just over,
         # half the skin: the first keeps the list, the second rebuilds it.
-        for factor, rebuilt in ((1.0 - 1e-3, 0), (1.0 + 1e-3, 1)):
+        # Near 1e15, where x rounds to 1/8, a stored jump can land on the
+        # other side of half the skin, so the rule reads the jump as stored.
+        anchor = positions
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
             before = neighbours.rebuilds
             step = positions + factor * half * unit_vectors(rng, n)
             assert_same_contacts(neighbours, step, radii)
             if finite:
+                rebuilt = np.hypot(*(step - anchor).T).max() > half
                 assert neighbours.rebuilds - before == rebuilt
+                anchor = step if rebuilt else anchor
         # Then a walk of steps up to the whole skin, most of them rebuilding.
         for _ in range(6):
             positions = positions + rng.uniform(0.0, 2.0 * half, (n, 1)) * unit_vectors(rng, n)

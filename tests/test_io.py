@@ -175,6 +175,7 @@ def test_infeasible_result_serializes_with_nulls():
         lambda d: d.update(feasible="no"),
         lambda d: d.update(feasible=1),
         lambda d: d.update(feasible=None),
+        lambda d: d.update(instance={"k": [1]}),
     ],
 )
 def test_result_parse_rejects_broken_documents(mangle):
