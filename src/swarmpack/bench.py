@@ -58,7 +58,8 @@ def run_bench(
     """All (instance, seed) runs plus an aggregate report.
 
     Each instance's entry quotes its published best radius from the corpus,
-    or null for an instance the corpus does not know.
+    or null for an instance that is not an embedded one (a file that only
+    shares an embedded name included).
 
     Tasks are dispatched to a process pool when jobs > 1; summaries come
     back in (instance, seed) order either way.
@@ -78,7 +79,7 @@ def run_bench(
         radii = [s.best_radius for s in feasible]
         entry: dict = {
             "circles": inst.n,
-            "reference_radius": CORPUS.reference_radii.get(inst.name),
+            "reference_radius": CORPUS.reference_radius(inst),
             "feasible_runs": len(feasible),
             "best_radius": min(radii) if radii else None,
             "median_radius": statistics.median(radii) if radii else None,

@@ -93,7 +93,7 @@ def _cmd_solve(args) -> int:
             fh.write(format_result_json(result))
 
     if result.feasible:
-        reference = CORPUS.reference_radii.get(instance.name)
+        reference = CORPUS.reference_radius(instance)
         against = f"  (published best {reference})" if reference is not None else ""
         print(
             f"{instance.name}: {instance.n} circles packed into radius "
@@ -116,7 +116,7 @@ def _cmd_bench(args) -> int:
         default_iters = SUITE_ITERATIONS[args.selector]
     else:
         instances = [_resolve_instance(args.selector)]
-        default_iters = SUITE_ITERATIONS["suite2"] if instances[0].name.startswith("II") else SUITE_ITERATIONS["suite1"]
+        default_iters = SUITE_ITERATIONS["suite2"] if instances[0] in CORPUS.suite2 else SUITE_ITERATIONS["suite1"]
     if args.reps < 1:
         raise ParseError(f"--reps must be at least 1, got {args.reps}")
     if args.jobs < 1:

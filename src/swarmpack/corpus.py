@@ -8,6 +8,7 @@ of every circle equals its radius (II1..II3), built from tier counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .model import ProblemInstance
 
@@ -181,6 +182,13 @@ class BenchmarkCorpus:
             if inst.name == name:
                 return inst
         raise UnknownInstanceError(name)
+
+    def reference_radius(self, instance: ProblemInstance) -> Optional[float]:
+        """Published best radius of ``instance``, or None unless it is an embedded instance.
+
+        A file that only shares an embedded instance's name gets None.
+        """
+        return self.reference_radii.get(instance.name) if instance in self.all_instances else None
 
     def suite(self, key: str) -> tuple[ProblemInstance, ...]:
         if key == "suite1":

@@ -13,13 +13,10 @@ def integrate_step(state: SwarmState, forces, masses, hp: Hyperparameters) -> Sw
     Velocities update first and positions move with the *new* velocity; the
     speed clamp afterwards keeps any single tick from teleporting a circle
     across the container. A speed that overflows to inf has no direction
-    left to clamp to and raises InvalidInputError.
+    left to clamp to and raises InvalidInputError. ``masses`` is the
+    instance's float array, whose positivity ``solve`` checks once.
     """
-    m = np.asarray(masses, dtype=float)
-    if (m <= 0.0).any():
-        raise InvalidInputError("masses must be positive")
-    f = np.asarray(forces, dtype=float)
-    acc = f / m[:, None]
+    acc = np.asarray(forces, dtype=float) / masses[:, None]
     vel = state.velocities + acc * hp.dt
     speed = np.sqrt(vel[:, 0] ** 2 + vel[:, 1] ** 2)
     top = speed.max()

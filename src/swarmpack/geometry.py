@@ -1,9 +1,9 @@
 """Planar circle geometry: contact pairs, lens areas, gravity centers, enclosing radii.
 
-``contact_pairs`` searches one layout from scratch: all pairs for small
-swarms, a sort-and-sweep along x for large ones. A ``NeighbourList`` gives
-a moving layout the same contacts from a Verlet list of candidate pairs,
-rebuilt with that search only after large enough moves.
+``contact_pairs`` searches one layout from scratch with a sort-and-sweep
+along x. A ``NeighbourList`` gives a moving layout the same contacts from a
+Verlet list of candidate pairs, rebuilt with that search only after large
+enough moves.
 
 Points are float64 arrays of shape (2,) and point sets are arrays of shape
 (N, 2); the Point2/Disk dataclasses are thin wrappers for single-shape call
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -89,12 +88,6 @@ def lens_area(a: Disk, b: Disk) -> float:
     return float(lens_area_from_distance(np.array([d]), np.array([a.radius]), np.array([b.radius]))[0])
 
 
-@lru_cache(maxsize=32)
-def _upper_pairs(n: int):
-    # Cached (i, j) index pair arrays for the strict upper triangle.
-    return np.triu_indices(n, k=1)
-
-
 def _as_points(positions) -> np.ndarray:
     p = np.asarray(positions, dtype=float)
     if p.ndim != 2 or p.shape[1] != 2:
@@ -109,15 +102,6 @@ def _as_radii(radii, p) -> np.ndarray:
     return r
 
 
-# Swarm size from which ``contact_pairs`` and a NeighbourList rebuild use
-# the sweep instead of all pairs: the measured crossover. Per search on
-# packed II3 subsets (2-vCPU VM, numpy 2.4), all pairs vs sweep took 76 vs
-# 78 us at N=52, 90 vs 82 at N=56, 96 vs 82 at N=60 and 143 vs 103 at N=72;
-# with a rebuild's skin of 16, 98 vs 98 at N=56 and 113 vs 103 at N=60. On
-# the same layouts spread twice as wide the sweep wins from N=48.
-GRID_AUTO_THRESHOLD = 56
-
-
 class Contacts(NamedTuple):
     """Overlapping pairs i < j (d < r_i + r_j) sorted by (i, j), with distances d."""
 
@@ -129,23 +113,14 @@ class Contacts(NamedTuple):
 def contact_pairs(positions, radii) -> Contacts:
     """The stateless pair search of one layout.
 
-    Below GRID_AUTO_THRESHOLD circles every pair is tested; from there up,
-    only pairs whose x coordinates lie within the widest reach, found by
-    sorting on x and sweeping. Both searches return bitwise-identical
-    arrays because the distance of a pair is computed the same way
-    whichever search found it. ``solve`` gets the same arrays from a
-    NeighbourList, which reruns this search only now and then.
+    Only pairs whose x coordinates lie within the widest reach are tested,
+    found by sorting on x and sweeping; the result is bitwise what testing
+    every pair gives, because a pair's distance is computed the same way.
+    ``solve`` gets the same arrays from a NeighbourList, which reruns this
+    search only now and then.
     """
     p = _as_points(positions)
-    return _pairs_within(p, _as_radii(radii, p))
-
-
-def _pairs_within(p, r, skin=0.0) -> Contacts:
-    # Pairs with d < r_i + r_j + skin, sorted by (i, j).
-    n = p.shape[0]
-    if n < GRID_AUTO_THRESHOLD:
-        return _touching(p, r, *_upper_pairs(n), skin)
-    return _sweep_contacts(p, r, skin)
+    return _sweep_contacts(p, _as_radii(radii, p))
 
 
 def _touching(p, r, iu, ju, skin=0.0) -> Contacts:
@@ -157,21 +132,24 @@ def _touching(p, r, iu, ju, skin=0.0) -> Contacts:
 
 
 def _sweep_contacts(p, r, skin=0.0) -> Contacts:
-    # Sort and sweep: with the circles sorted by x, every partner a circle
-    # can touch lies in the run of later circles whose x is within
-    # reach = fl(2 r_max + skin). No rounding margin is needed. A pair that
-    # _touching keeps has fl(d) < fl(fl(r_i + r_j) + skin) <= reach, as
-    # rounding is monotone. And fl(d) >= |dx| for dx = fl(x_j - x_i),
-    # because fl(sqrt(fl(dx * dx))) == |dx| (barring underflow below
-    # 1e-154) and adding fl(dy * dy) >= 0 cannot lower the sum. So
-    # fl(x_j - x_i) < reach; by monotone rounding the exact x_j - x_i <
-    # reach, and x_j <= fl(x_i + reach). NaN and inf coordinates need no
-    # special case: a pair with one never hits, wherever the sort puts it.
+    # Pairs with d < r_i + r_j + skin, sorted by (i, j). Sort and sweep:
+    # with the circles sorted by x, every partner a circle can touch lies in
+    # the run of later circles whose x is within reach = fl(2 r_max + skin).
+    # No rounding margin is needed. A pair that _touching keeps has fl(d) <
+    # fl(fl(r_i + r_j) + skin) <= reach, as rounding is monotone. And fl(d)
+    # >= |dx| for dx = fl(x_j - x_i), because fl(sqrt(fl(dx * dx))) == |dx|
+    # (barring underflow below 1e-154) and adding fl(dy * dy) >= 0 cannot
+    # lower the sum. So fl(x_j - x_i) < reach; by monotone rounding the
+    # exact x_j - x_i < reach, and x_j <= fl(x_i + reach). NaN and inf
+    # coordinates need no special case: a pair with one never hits,
+    # wherever the sort puts it. A NaN radius makes reach NaN, and every
+    # later circle a candidate, since searchsorted puts NaN last.
     n = p.shape[0]
     reach = 2.0 * float(r.max()) + skin if n else 0.0
-    if n < 2 or not reach > 0.0:
-        # A non-positive reach would give negative run lengths.
-        return _touching(p, r, *_upper_pairs(n), skin)
+    if n < 2 or reach <= 0.0:
+        # No pair can hit, and a non-positive reach would give negative
+        # run lengths.
+        return Contacts(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
     order = np.argsort(p[:, 0])
     x = p[order, 0]
     after = np.arange(1, n + 1)
@@ -195,7 +173,7 @@ SKIN_TICKS = 8.0
 class NeighbourList:
     """Contacts of one moving layout, from a Verlet list of candidate pairs.
 
-    A rebuild runs the ``contact_pairs`` search with the reach widened by
+    A rebuild runs the ``contact_pairs`` sweep with the reach widened by
     ``skin`` and keeps every pair with d < r_i + r_j + skin, in (i, j)
     order, along with the positions it saw. Each call re-filters those
     candidates with the same distance arithmetic as ``contact_pairs``, so it
@@ -225,7 +203,7 @@ class NeighbourList:
         r = _as_radii(self.radii, p)
         if self._anchor is None or self._moved_past_skin(p):
             self._anchor = p.copy()
-            self._i, self._j, _ = _pairs_within(p, r, self.skin)
+            self._i, self._j, _ = _sweep_contacts(p, r, self.skin)
             self.rebuilds += 1
         return _touching(p, r, self._i, self._j)
 

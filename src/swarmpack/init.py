@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .model import Hyperparameters, InvalidInputError, ProblemInstance, SwarmState, validate_instance
+from .model import Hyperparameters, InvalidInputError, ProblemInstance, SwarmState
 from .schedule import ContainerSchedule
 
 # The starting container is sized so the circles cover 15% of its area.
@@ -51,10 +51,10 @@ def initial_positions(instance: ProblemInstance, container_radius: float, seed: 
 
 
 def initial_state(instance: ProblemInstance, hp: Hyperparameters) -> tuple[SwarmState, ContainerSchedule]:
-    """Swarm at rest on its Latin-Hypercube scatter, schedule at the 15% radius."""
-    problems = validate_instance(instance)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    """Swarm at rest on its Latin-Hypercube scatter, schedule at the 15% radius.
+
+    The instance is taken as valid: ``solve`` runs ``validate_instance`` first.
+    """
     radius = initial_container_radius(instance)
     state = SwarmState(positions=initial_positions(instance, radius, hp.seed), velocities=np.zeros((instance.n, 2)))
     return state, ContainerSchedule(target_radius=radius)

@@ -3,7 +3,8 @@
 Each function recomputes a quantity along a path disjoint from the library
 implementation: areas by counting uniform samples, gradients by central
 differences, schedule values from the decay law in its power arrangement,
-forces one circle and one contribution at a time.
+forces one circle and one contribution at a time, contacts by testing
+every pair.
 Keep these free of swarmpack imports so a bug cannot leak into its own check.
 """
 
@@ -69,6 +70,21 @@ def fd_cg_gradient(i, positions, masses, step=1e-6):
         lo[i, axis] -= step
         grad[axis] = (h(hi) - h(lo)) / (2.0 * step)
     return grad
+
+
+def all_pairs_contacts(positions, radii, skin=0.0):
+    """Every pair i < j with d < r_i + r_j + skin, as (i, j, d) sorted by (i, j).
+
+    Tests all N(N-1)/2 pairs with the library's distance arithmetic, so the
+    sweep's contacts must equal these bitwise.
+    """
+    p = np.asarray(positions, dtype=float)
+    r = np.asarray(radii, dtype=float)
+    i, j = np.triu_indices(p.shape[0], k=1)
+    diff = p[j] - p[i]
+    d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
+    hit = d < (r[i] + r[j]) + skin
+    return i[hit], j[hit], d[hit]
 
 
 # Per-circle force formulas, one contribution at a time, as written in the

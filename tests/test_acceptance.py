@@ -16,7 +16,6 @@ import time
 import numpy as np
 import pytest
 
-from swarmpack import geometry
 from swarmpack.corpus import CORPUS
 from swarmpack.forces import assemble_forces, cg_gradient
 from swarmpack.geometry import (
@@ -34,7 +33,7 @@ from swarmpack.model import Hyperparameters, ProblemInstance, SwarmState
 from swarmpack.schedule import step_size
 from swarmpack.solver import solve
 
-from oracles import SCHEDULE_T1000_REFERENCE, fd_cg_gradient, mc_lens_area
+from oracles import SCHEDULE_T1000_REFERENCE, all_pairs_contacts, fd_cg_gradient, mc_lens_area
 
 REPORT: list[str] = []
 
@@ -249,7 +248,7 @@ def test_c08_identical_runs_serialize_identically():
     _report(8, ok, f"two identical runs produce byte-identical JSON ({len(first)} bytes)")
 
 
-def test_c09_grid_and_naive_forces_bitwise_equal(monkeypatch):
+def test_c09_grid_and_naive_forces_bitwise_equal():
     rng = np.random.default_rng(99)
     mismatches = 0
     for k in range(20):
@@ -264,10 +263,8 @@ def test_c09_grid_and_naive_forces_bitwise_equal(monkeypatch):
         target = 0.8 * enclosing_radius(state.positions, radii)
         hp = Hyperparameters()
         cg = center_of_gravity(state.positions, masses)
-        # The size threshold above N=100 forces all pairs; below it, the cell list.
-        monkeypatch.setattr(geometry, "GRID_AUTO_THRESHOLD", 101)
-        naive = assemble_forces(state, inst, target, hp, contact_pairs(state.positions, radii), cg)
-        monkeypatch.setattr(geometry, "GRID_AUTO_THRESHOLD", 99)
+        # Naive: the all-pairs reference contacts; grid: the library's sweep.
+        naive = assemble_forces(state, inst, target, hp, all_pairs_contacts(state.positions, radii), cg)
         grid = assemble_forces(state, inst, target, hp, contact_pairs(state.positions, radii), cg)
         mismatches += naive.tobytes() != grid.tobytes()
     ok = mismatches == 0

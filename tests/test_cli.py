@@ -4,6 +4,7 @@ from xml.dom import minidom
 
 import pytest
 
+from swarmpack import cli
 from swarmpack.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from swarmpack.corpus import CORPUS
 from swarmpack.instance_io import format_instance
@@ -58,6 +59,40 @@ def test_solve_accepts_instance_files(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run("solve", "I1", "--iters", "200") == EXIT_OK
     assert "filecase" in capsys.readouterr().out
+
+
+def test_a_file_named_like_an_embedded_instance_is_quoted_no_reference(tmp_path, monkeypatch, capsys):
+    # Both files solve feasibly but are not I1 or II1: no published radius
+    # applies, and the II1 file takes the suite1 default budget.
+    monkeypatch.chdir(tmp_path)
+    for name in ("I1", "II1"):
+        inst = ProblemInstance(name, radii=[1.0, 1.5], masses=[2.0, 1.0])
+        (tmp_path / name).write_text(format_instance(inst), encoding="utf-8")
+    assert run("solve", "I1", "--iters", "200") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "packed into radius" in out and "published best" not in out
+    assert run("bench", "I1", "--reps", "1", "--iters", "50") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "I1: best" in out and " vs " not in out
+    assert run("bench", "II1", "--reps", "1", "--out-dir", "out") == EXIT_OK
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["hyperparameters"]["n_it"] == 20000
+    assert report["instances"]["II1"]["reference_radius"] is None
+
+
+def test_bench_budget_defaults_to_the_suite_of_the_instance(monkeypatch, capsys):
+    budgets = []
+
+    def no_runs(instances, reps, hp, jobs=1):
+        budgets.append(hp.n_it)
+        return [], {"instances": {}}
+
+    monkeypatch.setattr(cli, "run_bench", no_runs)
+    for selector in ("I10", "II1", "suite1", "suite2"):
+        assert run("bench", selector, "--reps", "1") == EXIT_INFEASIBLE
+    assert budgets == [20000, 15000, 20000, 15000]
+    capsys.readouterr()
 
 
 def test_solve_reports_infeasible_runs(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from swarmpack.corpus import CORPUS, UnknownInstanceError
-from swarmpack.model import validate_instance
+from swarmpack.model import ProblemInstance, validate_instance
 
 EXPECTED_NAMES = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9", "I10", "II1", "II2", "II3")
 EXPECTED_COUNTS = (10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 100, 150, 300)
@@ -48,6 +48,13 @@ def test_reference_radii_table():
         "II1": 247.93, "II2": 357.97, "II3": 504.11,
     }
     assert CORPUS.reference_radii == expected
+
+
+def test_reference_radius_needs_the_embedded_instance():
+    assert CORPUS.reference_radius(CORPUS.get("I1")) == 59.85
+    assert CORPUS.reference_radius(CORPUS.get("II3")) == 504.11
+    assert CORPUS.reference_radius(ProblemInstance("I1", radii=[1.0, 1.5], masses=[2.0, 1.0])) is None
+    assert CORPUS.reference_radius(ProblemInstance("x", radii=[1.0], masses=[1.0])) is None
 
 
 def test_lookup_and_selection():

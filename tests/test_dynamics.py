@@ -74,14 +74,6 @@ def test_integration_is_deterministic_and_pure():
     assert state.positions.tobytes() == before.tobytes()
 
 
-def test_nonpositive_mass_is_rejected():
-    state = state_of([[0.0, 0.0]])
-    with pytest.raises(InvalidInputError):
-        integrate_step(state, np.zeros((1, 2)), np.array([0.0]), Hyperparameters())
-    with pytest.raises(InvalidInputError):
-        integrate_step(state, np.zeros((1, 2)), np.array([-1.0]), Hyperparameters())
-
-
 def test_speed_overflow_is_rejected():
     # Each component is finite, but the squared speed overflows: no clamp
     # direction is left, and scaling by v_max / inf would zero the velocity.

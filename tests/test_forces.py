@@ -3,7 +3,6 @@ import pytest
 
 from swarmpack import geometry
 from swarmpack.geometry import (
-    GRID_AUTO_THRESHOLD,
     NeighbourList,
     center_of_gravity,
     cg_violation,
@@ -13,7 +12,7 @@ from swarmpack.geometry import (
 from swarmpack.forces import assemble_forces, cg_gradient, find_overlap_pairs
 from swarmpack.model import Hyperparameters, ProblemInstance, SwarmState
 
-from oracles import cg_force, fd_cg_gradient, overlap_force, radius_force, resultant_force
+from oracles import all_pairs_contacts, cg_force, fd_cg_gradient, overlap_force, radius_force, resultant_force
 
 
 def make_state(positions, velocities=None):
@@ -43,18 +42,14 @@ def forces_of(state, inst, target, hp, contacts=None):
 
 # ---------------------------------------------------------------- pair finding
 
-SEARCHES = ("all pairs", "sweep")
+def swept_contacts(positions, radii, skin=0.0):
+    # contact_pairs, or with a skin the wider search of a NeighbourList rebuild.
+    return geometry._sweep_contacts(positions, radii, skin) if skin else contact_pairs(positions, radii)
 
 
-def contacts_by(search, positions, radii, skin=0.0):
-    # contact_pairs, or with a skin a NeighbourList rebuild's wider search,
-    # forced onto one search by moving the size threshold.
-    threshold = len(radii) + 1 if search == "all pairs" else 0
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geometry, "GRID_AUTO_THRESHOLD", threshold)
-        if skin:
-            return geometry._pairs_within(np.asarray(positions, dtype=float), np.asarray(radii, dtype=float), skin)
-        return contact_pairs(positions, radii)
+def assert_bitwise_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def overlap_pairs(positions, radii):
@@ -89,7 +84,7 @@ def broad_phase_layouts():
         n = int(rng.integers(2, 120))
         spread = float(rng.uniform(1.0, 30.0))
         yield rng.uniform(-spread, spread, (n, 2)), rng.uniform(0.2, 3.0, n)
-    for n in (1, 2, GRID_AUTO_THRESHOLD - 1, GRID_AUTO_THRESHOLD, GRID_AUTO_THRESHOLD + 1, 300):
+    for n in (1, 2, 55, 56, 57, 300):
         for spread in (0.5, 4.0):  # dense, loose
             half = spread * np.sqrt(n)
             yield rng.uniform(-half, half, (n, 2)), rng.uniform(0.5, 1.5, n)
@@ -99,16 +94,16 @@ def broad_phase_layouts():
     clusters = np.repeat(rng.uniform(-1e12, 1e12, (40, 2)), 6, axis=0)
     yield clusters + rng.uniform(-2.2, 2.2, clusters.shape), np.ones(clusters.shape[0])
     # One vertical line: every x is equal, so every pair is a sweep candidate.
-    n = GRID_AUTO_THRESHOLD + 16
+    n = 72
     line = np.stack([np.full(n, 2.5), np.cumsum(rng.uniform(0.5, 2.5, n))], axis=1)
     yield line, rng.uniform(0.5, 1.5, n)
     # Negative radii: at skin 0 there is no positive reach to sweep.
-    yield rng.uniform(-3.0, 3.0, (GRID_AUTO_THRESHOLD, 2)), np.full(GRID_AUTO_THRESHOLD, -1.0)
+    yield rng.uniform(-3.0, 3.0, (56, 2)), np.full(56, -1.0)
     # Chains along x of equal circles whose gaps sit within a few ulps of
     # r_i + r_j + skin, the sweep's own reach, up to where x rounds to 1/8.
     for offset in (0.0, 1e3, -1e9, 1e15, -1e15):
         for skin in (0.0, 16.0):
-            n = GRID_AUTO_THRESHOLD + 6
+            n = 62
             r = float(rng.uniform(0.2, 3.0))
             x = np.empty(n)
             x[0] = offset
@@ -122,12 +117,12 @@ def broad_phase_layouts():
 
 def test_grid_and_naive_agree_on_random_states():
     for positions, radii in broad_phase_layouts():
-        # A NeighbourList rebuild's wider search, then contact_pairs' own,
-        # whose contacts naive and grid keep for the checks below.
+        # The sweep against the all-pairs reference: a NeighbourList
+        # rebuild's wider search, then contact_pairs' own, whose contacts
+        # naive and grid keep for the checks below.
         for skin in (16.0, 0.0):
-            naive, grid = (contacts_by(search, positions, radii, skin) for search in SEARCHES)
-            for a, b in zip(naive, grid):
-                assert a.tobytes() == b.tobytes()
+            naive, grid = all_pairs_contacts(positions, radii, skin), swept_contacts(positions, radii, skin)
+            assert_bitwise_equal(grid, naive)
         assert total_overlap(positions, radii, contacts=grid) == total_overlap(positions, radii, contacts=naive)
         pairs = find_overlap_pairs(radii, naive)
         assert find_overlap_pairs(radii, grid).tobytes() == pairs.tobytes()
@@ -136,26 +131,26 @@ def test_grid_and_naive_agree_on_random_states():
 def test_grid_handles_coincident_centers():
     positions = np.zeros((5, 2))
     radii = np.full(5, 1.0)
-    naive, grid = (find_overlap_pairs(radii, contacts_by(search, positions, radii)) for search in SEARCHES)
+    naive = find_overlap_pairs(radii, all_pairs_contacts(positions, radii))
+    grid = find_overlap_pairs(radii, contact_pairs(positions, radii))
     assert naive.tobytes() == grid.tobytes()
     assert naive.shape[0] == 5 * 4
 
 
-def test_pair_search_follows_the_size_threshold(monkeypatch):
-    # The sweep runs from GRID_AUTO_THRESHOLD circles up, all pairs below.
-    sizes = []
-    monkeypatch.setattr(geometry, "_sweep_contacts", lambda p, r, skin=0.0: sizes.append(len(p)))
-    for n in (GRID_AUTO_THRESHOLD - 1, GRID_AUTO_THRESHOLD):
-        contact_pairs(np.zeros((n, 2)), np.ones(n))
-    assert sizes == [GRID_AUTO_THRESHOLD]
+def test_sweep_keeps_the_pairs_beside_a_nan_radius():
+    # A NaN radius makes the sweep's reach NaN; the other pairs still hit.
+    positions = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [9.0, 0.5]])
+    radii = np.array([1.0, 1.0, np.nan, 2.5])
+    for skin in (0.0, 16.0):
+        want = all_pairs_contacts(positions, radii, skin)
+        assert want[0].shape[0] > 0
+        assert_bitwise_equal(swept_contacts(positions, radii, skin), want)
 
 
 # ------------------------------------------------------------ neighbour list
 
 def assert_same_contacts(neighbours, positions, radii):
-    got, want = neighbours.contacts(positions), contact_pairs(positions, radii)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert_bitwise_equal(neighbours.contacts(positions), contact_pairs(positions, radii))
 
 
 def unit_vectors(rng, n):
@@ -208,7 +203,7 @@ def test_neighbour_list_rebuilds_before_a_head_on_pair_is_missed():
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_neighbour_list_rebuilds_on_non_finite_states():
     rng = np.random.default_rng(12)
-    for n in (GRID_AUTO_THRESHOLD - 1, GRID_AUTO_THRESHOLD + 1):
+    for n in (55, 57):
         radii = rng.uniform(0.5, 1.5, n)
         positions = rng.uniform(-4.0, 4.0, (n, 2))
         neighbours = NeighbourList(radii, 1.0)
@@ -372,9 +367,8 @@ def test_assembly_is_search_independent_bitwise():
         n = int(rng.integers(2, 80))
         state, inst = random_setup(rng, n, spread=6.0)
         target = float(rng.uniform(3.0, 10.0))
-        naive, grid = (
-            forces_of(state, inst, target, hp, contacts_by(search, state.positions, inst.radii)) for search in SEARCHES
-        )
+        naive = forces_of(state, inst, target, hp, all_pairs_contacts(state.positions, inst.radii))
+        grid = forces_of(state, inst, target, hp)
         assert naive.tobytes() == grid.tobytes()
 
 

@@ -82,8 +82,5 @@ def test_initial_state_is_at_rest_at_the_seed_radius():
 
 
 def test_initial_state_rejects_invalid_instances():
-    bad = ProblemInstance("x", radii=[1.0, -1.0], masses=[1.0, 1.0])
-    with pytest.raises(InvalidInputError):
-        initial_state(bad, Hyperparameters())
     with pytest.raises(InvalidInputError):
         initial_positions(ProblemInstance("y", radii=[1.0], masses=[1.0]), 0.0, 0)

@@ -11,6 +11,8 @@ from swarmpack.instance_io import format_result_json
 from swarmpack.model import Hyperparameters, InvalidInputError, IterationRecord, ProblemInstance, SwarmState
 from swarmpack.solver import NoMilestonesError, convergence_milestones, solve
 
+from oracles import all_pairs_contacts
+
 
 def state_of(positions):
     p = np.asarray(positions, dtype=float)
@@ -117,13 +119,13 @@ def test_solve_is_deterministic():
     assert a.history == b.history
 
 
-def test_cell_list_solve_serializes_like_all_pairs(monkeypatch):
-    inst = CORPUS.get("II1")
-    assert inst.n >= geometry.GRID_AUTO_THRESHOLD  # so the default takes the cell list
+@pytest.mark.parametrize("name", ["I1", "II1"])
+def test_sweep_solve_serializes_like_the_all_pairs_reference(monkeypatch, name):
+    inst = CORPUS.get(name)
     hp = Hyperparameters(n_it=300)
-    cell_list = format_result_json(solve(inst, hp))
-    monkeypatch.setattr(geometry, "GRID_AUTO_THRESHOLD", inst.n + 1)
-    assert format_result_json(solve(inst, hp)) == cell_list
+    swept = format_result_json(solve(inst, hp))
+    monkeypatch.setattr(geometry, "_sweep_contacts", all_pairs_contacts)
+    assert format_result_json(solve(inst, hp)) == swept
 
 
 class StatelessSearch:
@@ -198,8 +200,9 @@ def test_solve_rejects_bad_input():
     inst = ProblemInstance("ok", radii=[1.0], masses=[1.0])
     with pytest.raises(InvalidInputError):
         solve(inst, Hyperparameters(n_it=0))
-    with pytest.raises(InvalidInputError):
-        solve(ProblemInstance("bad", radii=[-1.0], masses=[1.0]))
+    for radii, masses in (([-1.0], [1.0]), ([1.0], [0.0]), ([1.0], [-1.0])):
+        with pytest.raises(InvalidInputError):
+            solve(ProblemInstance("bad", radii=radii, masses=masses))
     # v_max near the float limit passes validation, but the first push
     # overflows and every coordinate turns NaN: the run stops at once.
     seen = []
