@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from .bench import format_report_json, run_bench, write_runs_csv
@@ -25,7 +24,7 @@ from .instance_io import (
 )
 from .model import Hyperparameters, InvalidInputError, ProblemInstance
 from .solver import solve
-from .svg import ExportError, export_svg, render_svg
+from .svg import export_svg, render_svg
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -48,7 +47,6 @@ def _add_hp_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _hyperparameters(args, default_iters: int = 20000) -> Hyperparameters:
-    hp = Hyperparameters(seed=args.seed, n_it=args.iters if args.iters is not None else default_iters)
     overrides = {
         "f_max": args.fmax,
         "v_max": args.vmax,
@@ -58,7 +56,8 @@ def _hyperparameters(args, default_iters: int = 20000) -> Hyperparameters:
         "c": args.c,
         "dt": args.dt,
     }
-    return replace(hp, **{key: value for key, value in overrides.items() if value is not None})
+    given = {key: value for key, value in overrides.items() if value is not None}
+    return Hyperparameters(seed=args.seed, n_it=args.iters if args.iters is not None else default_iters, **given)
 
 
 def _resolve_instance(token: str) -> ProblemInstance:
@@ -173,7 +172,7 @@ def _cmd_export(args) -> int:
 def _cmd_instances(args) -> int:
     if args.action == "list":
         for inst in CORPUS.all_instances:
-            reference = CORPUS.reference_radii.get(inst.name)
+            reference = CORPUS.reference_radius(inst)
             print(f"{inst.name:<5} {inst.n:>3} circles   published best {reference}")
         return EXIT_OK
     # show
@@ -229,13 +228,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, InvalidInputError, UnknownInstanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ExportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except OSError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import ProblemInstance
+from .model import InvalidInputError, ProblemInstance
 
 
-class UnknownInstanceError(KeyError):
+class UnknownInstanceError(InvalidInputError):
     """Requested name matches neither a suite nor an embedded instance."""
 
 
@@ -181,7 +181,7 @@ class BenchmarkCorpus:
         for inst in self.all_instances:
             if inst.name == name:
                 return inst
-        raise UnknownInstanceError(name)
+        raise UnknownInstanceError(f"unknown instance {name!r} (known: {', '.join(self.names())})")
 
     def reference_radius(self, instance: ProblemInstance) -> Optional[float]:
         """Published best radius of ``instance``, or None unless it is an embedded instance.
@@ -195,7 +195,7 @@ class BenchmarkCorpus:
             return self.suite1
         if key == "suite2":
             return self.suite2
-        raise UnknownInstanceError(key)
+        raise UnknownInstanceError(f"unknown suite {key!r} (known: suite1, suite2)")
 
 
 def _build_suite2(name, tiers) -> ProblemInstance:

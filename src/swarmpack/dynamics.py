@@ -14,7 +14,7 @@ def integrate_step(state: SwarmState, forces, masses, hp: Hyperparameters) -> Sw
     speed clamp afterwards keeps any single tick from teleporting a circle
     across the container. A speed that overflows to inf has no direction
     left to clamp to and raises InvalidInputError. ``masses`` is the
-    instance's float array, whose positivity ``solve`` checks once.
+    instance's positive float array.
     """
     acc = np.asarray(forces, dtype=float) / masses[:, None]
     vel = state.velocities + acc * hp.dt

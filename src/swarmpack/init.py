@@ -51,10 +51,7 @@ def initial_positions(instance: ProblemInstance, container_radius: float, seed: 
 
 
 def initial_state(instance: ProblemInstance, hp: Hyperparameters) -> tuple[SwarmState, ContainerSchedule]:
-    """Swarm at rest on its Latin-Hypercube scatter, schedule at the 15% radius.
-
-    The instance is taken as valid: ``solve`` runs ``validate_instance`` first.
-    """
+    """Swarm at rest on its Latin-Hypercube scatter, schedule at the 15% radius."""
     radius = initial_container_radius(instance)
     state = SwarmState(positions=initial_positions(instance, radius, hp.seed), velocities=np.zeros((instance.n, 2)))
     return state, ContainerSchedule(target_radius=radius)

@@ -15,11 +15,11 @@ import json
 import math
 from typing import IO, Optional
 
-from .model import IterationRecord, ProblemInstance, SolveResult, validate_instance
+from .model import InvalidInputError, IterationRecord, ProblemInstance, SolveResult
 from .solver import convergence_milestones
 
 
-class ParseError(ValueError):
+class ParseError(InvalidInputError):
     """Malformed instance or result data; the message points at the spot."""
 
 
@@ -51,6 +51,13 @@ def _finite_number(value) -> Optional[float]:
     except OverflowError:  # an integer beyond float range
         return None
     return number if math.isfinite(number) else None
+
+
+def _checked_instance(name, radii, masses) -> ProblemInstance:
+    try:
+        return ProblemInstance(name=name, radii=radii, masses=masses)
+    except InvalidInputError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -91,11 +98,7 @@ def parse_instance(text: str) -> ProblemInstance:
     if len(radii) != count:
         raise ParseError(f"header declares {count} circles but {len(radii)} lines follow")
 
-    instance = ProblemInstance(name=name, radii=radii, masses=masses)
-    problems = validate_instance(instance)
-    if problems:
-        raise ParseError("; ".join(problems))
-    return instance
+    return ProblemInstance(name=name, radii=radii, masses=masses)
 
 
 def format_instance(instance: ProblemInstance) -> str:
@@ -127,13 +130,8 @@ def parse_instance_json(text: str) -> ProblemInstance:
             values.append(value)
     name = data["name"]
     if not isinstance(name, str):
-        # validate_instance rejects an empty name or one with whitespace.
         raise ParseError(f"'name' must be a string, got {name!r}")
-    instance = ProblemInstance(name=name, radii=radii, masses=masses)
-    problems = validate_instance(instance)
-    if problems:
-        raise ParseError("; ".join(problems))
-    return instance
+    return _checked_instance(name, radii, masses)
 
 
 def load_instance(path: str) -> ProblemInstance:
@@ -171,8 +169,8 @@ def parse_result_dict(text: str) -> dict:
 
     ``instance`` must be a string and ``feasible`` a JSON bool. A feasible
     result must carry a positive finite ``best_radius``, two finite numbers
-    per position and a finite number for every radius and mass; whether the
-    layout is a valid packing is not checked.
+    per position, and circles and a name that make a valid ProblemInstance;
+    whether the layout is a valid packing is not checked.
     """
     try:
         data = json.loads(text)
@@ -204,6 +202,7 @@ def parse_result_dict(text: str) -> dict:
         for k, (radius, mass) in enumerate(zip(radii, masses)):
             if _finite_number(radius) is None or _finite_number(mass) is None:
                 raise ParseError(f"circle {k}: radius and mass must be finite numbers, got {radius!r} and {mass!r}")
+        _checked_instance(data["instance"], radii, masses)
     return data
 
 

@@ -15,7 +15,7 @@ class InvalidInputError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """A named set of weighted circles to pack."""
+    """A named set of weighted circles to pack; invalid data raises InvalidInputError."""
 
     name: str
     radii: np.ndarray
@@ -28,6 +28,9 @@ class ProblemInstance:
         m.setflags(write=False)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "masses", m)
+        problems = validate_instance(self)
+        if problems:
+            raise InvalidInputError("; ".join(problems))
 
     @property
     def n(self) -> int:
@@ -51,8 +54,9 @@ class ProblemInstance:
 def validate_instance(instance: ProblemInstance) -> list[str]:
     """Collect human-readable problems; an empty list means valid."""
     problems = []
-    if not instance.name or any(ch.isspace() for ch in instance.name):
-        problems.append(f"instance name must be non-empty without whitespace, got {instance.name!r}")
+    name = instance.name
+    if not isinstance(name, str) or not name or any(ch.isspace() for ch in name):
+        problems.append(f"instance name must be non-empty without whitespace, got {name!r}")
     r, m = instance.radii, instance.masses
     if r.ndim != 1 or m.ndim != 1 or r.shape[0] != m.shape[0]:
         problems.append(f"radii ({r.shape}) and masses ({m.shape}) must be 1-D of equal length")
@@ -76,6 +80,7 @@ class Hyperparameters:
 
     ``overlap_tol=None`` resolves per instance to 1e-6 times the smallest
     circle area, so "no overlap" scales with the finest feature present.
+    Building one with an invalid value raises InvalidInputError.
     """
 
     f_max: float = 50.0
@@ -89,6 +94,11 @@ class Hyperparameters:
     epsilon: float = 1e-9
     overlap_tol: Optional[float] = None
     seed: int = 0
+
+    def __post_init__(self):
+        problems = validate_hyperparameters(self)
+        if problems:
+            raise InvalidInputError("; ".join(problems))
 
     def resolved_overlap_tol(self, instance: ProblemInstance) -> float:
         if self.overlap_tol is not None:
@@ -114,9 +124,9 @@ def validate_hyperparameters(hp: Hyperparameters) -> list[str]:
         problems.append(f"n_it must be a positive integer, got {hp.n_it!r}")
     if not (isinstance(hp.seed, int) and not isinstance(hp.seed, bool) and hp.seed >= 0):
         problems.append(f"seed must be a non-negative integer, got {hp.seed!r}")
-    if hp.overlap_tol is not None:
-        if not (math.isfinite(hp.overlap_tol) and hp.overlap_tol >= 0.0):
-            problems.append(f"overlap_tol must be non-negative, got {hp.overlap_tol!r}")
+    tol = hp.overlap_tol
+    if tol is not None and not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0.0):
+        problems.append(f"overlap_tol must be non-negative, got {tol!r}")
     return problems
 
 

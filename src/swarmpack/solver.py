@@ -30,8 +30,6 @@ from .model import (
     ProblemInstance,
     SolveResult,
     SwarmState,
-    validate_hyperparameters,
-    validate_instance,
 )
 
 # Slack on the enclosing-radius comparison; keeps a ratchet step of exactly
@@ -77,9 +75,6 @@ def solve(
     range) raises InvalidInputError naming the iteration.
     """
     hp = hp if hp is not None else Hyperparameters()
-    problems = validate_instance(instance) + validate_hyperparameters(hp)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
 
     state, schedule = initial_state(instance, hp)
     overlap_tol = hp.resolved_overlap_tol(instance)

@@ -1,14 +1,16 @@
 import csv
 import json
+from dataclasses import replace
 from xml.dom import minidom
 
 import pytest
 
 from swarmpack import cli
+from swarmpack.bench import format_report_json, run_bench
 from swarmpack.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from swarmpack.corpus import CORPUS
 from swarmpack.instance_io import format_instance
-from swarmpack.model import ProblemInstance
+from swarmpack.model import Hyperparameters, ProblemInstance
 
 
 def run(*argv):
@@ -130,6 +132,18 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
     # v_max near the float limit passes validation; the first tick overflows.
     assert run("solve", "I1", "--vmax", "1e308") == EXIT_USAGE
     assert "non-finite at iteration 1 " in capsys.readouterr().err
+    assert run("solve", "I1", "--vmax", "-1", "--iters", "0") == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: v_max must be a positive finite number, got -1.0; n_it must be a positive integer, got 0\n"
+    )
+
+
+@pytest.mark.parametrize("flags", [("--vmax", "-1"), ("--iters", "0")])
+def test_rejected_flags_leave_no_trace_file(tmp_path, capsys, flags):
+    trace = tmp_path / "t.csv"
+    assert run("solve", "I1", *flags, "--trace-csv", str(trace)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not trace.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -148,6 +162,8 @@ def test_instances_list_and_show(capsys):
     assert run("instances", "show", "I1") == EXIT_OK
     assert capsys.readouterr().out == format_instance(CORPUS.get("I1"))
     assert run("instances", "show", "I99") == EXIT_USAGE
+    known = ", ".join(CORPUS.names())
+    assert capsys.readouterr().err == f"error: unknown instance 'I99' (known: {known})\n"
 
 
 def test_bench_writes_report_and_runs(tmp_path, capsys):
@@ -194,6 +210,18 @@ def test_bench_report_is_seed_deterministic(tmp_path):
                 row.pop("wall_time")
         reports.append(data)
     assert reports[0] == reports[1]
+
+
+def test_bench_jobs_match_the_serial_run():
+    # The process pool must give the serial summaries and report, wall times aside.
+    outputs = []
+    for jobs in (1, 2):
+        summaries, report = run_bench([CORPUS.get("I1")], 2, Hyperparameters(n_it=400), jobs=jobs)
+        for entry in report["instances"].values():
+            for row in entry["runs"]:
+                row["wall_time"] = 0.0
+        outputs.append(([replace(s, wall_time=0.0) for s in summaries], format_report_json(report)))
+    assert outputs[0] == outputs[1]
 
 
 def test_bench_rejects_bad_reps(capsys):
@@ -250,6 +278,10 @@ def test_export_refuses_infeasible_results(tmp_path, capsys):
         ("solve", {"name": None, "circles": [{"radius": 1, "mass": 1}]}, "'name'"),
         ("export", {"feasible": "no"}, "feasible"),
         ("export", {"instance": {"k": [1]}}, "instance"),
+        ("export", {"radii": [-5.0]}, "radius"),
+        ("export", {"masses": [0.0]}, "mass"),
+        ("export", {"instance": "two words"}, "name"),
+        ("export", {"instance": ""}, "name"),
     ],
 )
 def test_malformed_json_inputs_exit_with_2(tmp_path, capsys, command, document, fragment):

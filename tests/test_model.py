@@ -42,29 +42,28 @@ def test_validate_instance_accepts_good_input():
 
 
 def test_validate_instance_flags_each_defect():
-    bad_name = ProblemInstance("", radii=[1.0], masses=[1.0])
-    assert any("name" in msg for msg in validate_instance(bad_name))
+    # validate_instance runs when the instance is built, so a bad one never exists.
+    cases = [
+        ("", [1.0], [1.0], "name"),
+        ("two words", [1.0], [1.0], "name"),
+        (7, [1.0], [1.0], "name"),
+        ("a", [1.0, 2.0], [1.0], "equal length"),
+        ("a", [0.0], [1.0], "radius"),
+        ("a", [1.0], [-2.0], "mass"),
+        ("a", [math.nan], [1.0], "finite"),
+        ("a", np.ones((2, 2)), np.ones(4), "1-D"),
+        ("a", [], [], "at least one"),
+    ]
+    for name, radii, masses, fragment in cases:
+        with pytest.raises(InvalidInputError, match=fragment):
+            ProblemInstance(name, radii=radii, masses=masses)
 
-    spacey = ProblemInstance("two words", radii=[1.0], masses=[1.0])
-    assert any("name" in msg for msg in validate_instance(spacey))
 
-    mismatched = ProblemInstance("a", radii=[1.0, 2.0], masses=[1.0])
-    assert any("equal length" in msg for msg in validate_instance(mismatched))
-
-    zero_r = ProblemInstance("a", radii=[0.0], masses=[1.0])
-    assert any("radius" in msg for msg in validate_instance(zero_r))
-
-    neg_m = ProblemInstance("a", radii=[1.0], masses=[-2.0])
-    assert any("mass" in msg for msg in validate_instance(neg_m))
-
-    nan_r = ProblemInstance("a", radii=[math.nan], masses=[1.0])
-    assert any("finite" in msg for msg in validate_instance(nan_r))
-
-    planar = ProblemInstance("a", radii=np.ones((2, 2)), masses=np.ones(4))
-    assert any("1-D" in msg for msg in validate_instance(planar))
-
-    empty = ProblemInstance("a", radii=[], masses=[])
-    assert any("at least one" in msg for msg in validate_instance(empty))
+def test_invalid_input_lists_every_problem():
+    with pytest.raises(InvalidInputError, match=r"^instance name .*; every radius must be positive; every mass"):
+        ProblemInstance("", radii=[-1.0], masses=[0.0])
+    with pytest.raises(InvalidInputError, match=r"^v_max must .*; n_it must"):
+        Hyperparameters(v_max=-1.0, n_it=0)
 
 
 def test_occupation_rate_examples():
@@ -106,15 +105,22 @@ def test_resolved_overlap_tol_scales_with_smallest_circle():
 
 
 def test_validate_hyperparameters_flags_bad_values():
-    assert validate_hyperparameters(Hyperparameters(v_max=0.0))
-    assert validate_hyperparameters(Hyperparameters(f_max=-1.0))
-    assert validate_hyperparameters(Hyperparameters(s_max=0.5, s_min=0.7))
-    assert validate_hyperparameters(Hyperparameters(n_it=0))
-    assert validate_hyperparameters(Hyperparameters(n_it=2.5))
-    assert validate_hyperparameters(Hyperparameters(n_it=True))
-    assert validate_hyperparameters(Hyperparameters(seed=-1))
-    assert validate_hyperparameters(Hyperparameters(dt=0.0))
-    assert validate_hyperparameters(Hyperparameters(epsilon=0.0))
-    assert validate_hyperparameters(Hyperparameters(overlap_tol=-1e-9))
-    assert validate_hyperparameters(Hyperparameters(alpha=-5.0))
-    assert validate_hyperparameters(Hyperparameters(c=0.0))
+    # validate_hyperparameters runs when the tunables are built.
+    cases = [
+        ({"v_max": 0.0}, "^v_max"),
+        ({"f_max": -1.0}, "^f_max"),
+        ({"s_max": 0.5, "s_min": 0.7}, "^s_min"),
+        ({"n_it": 0}, "^n_it"),
+        ({"n_it": 2.5}, "^n_it"),
+        ({"n_it": True}, "^n_it"),
+        ({"seed": -1}, "^seed"),
+        ({"dt": 0.0}, "^dt"),
+        ({"epsilon": 0.0}, "^epsilon"),
+        ({"overlap_tol": -1e-9}, "^overlap_tol"),
+        ({"overlap_tol": "0.1"}, "^overlap_tol"),
+        ({"alpha": -5.0}, "^alpha"),
+        ({"c": 0.0}, "^c must"),
+    ]
+    for overrides, fragment in cases:
+        with pytest.raises(InvalidInputError, match=fragment):
+            Hyperparameters(**overrides)

@@ -196,13 +196,16 @@ def test_infeasible_run_reports_nothing():
     assert not result.history[0].feasible
 
 
-def test_solve_rejects_bad_input():
-    inst = ProblemInstance("ok", radii=[1.0], masses=[1.0])
-    with pytest.raises(InvalidInputError):
-        solve(inst, Hyperparameters(n_it=0))
+def test_bad_input_is_rejected_when_built():
+    # solve never sees bad input: the constructors refuse to build it.
+    with pytest.raises(InvalidInputError, match="n_it"):
+        Hyperparameters(n_it=0)
     for radii, masses in (([-1.0], [1.0]), ([1.0], [0.0]), ([1.0], [-1.0])):
-        with pytest.raises(InvalidInputError):
-            solve(ProblemInstance("bad", radii=radii, masses=masses))
+        with pytest.raises(InvalidInputError, match="must be positive"):
+            ProblemInstance("bad", radii=radii, masses=masses)
+
+
+def test_solve_stops_when_the_layout_turns_non_finite():
     # v_max near the float limit passes validation, but the first push
     # overflows and every coordinate turns NaN: the run stops at once.
     seen = []
