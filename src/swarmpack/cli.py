@@ -76,16 +76,13 @@ def _cmd_solve(args) -> int:
     instance = _resolve_instance(args.instance)
     hp = _hyperparameters(args)
 
-    trace_fh = None
-    trace = None
-    try:
-        if args.trace_csv:
-            trace_fh = open(args.trace_csv, "w", encoding="utf-8", newline="")
-            trace = TraceCsvWriter(trace_fh)
-        result = solve(instance, hp, trace=trace)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+    result = solve(instance, hp)
+
+    if args.trace_csv:
+        with open(args.trace_csv, "w", encoding="utf-8", newline="") as fh:
+            write_row = TraceCsvWriter(fh)
+            for row in zip(range(1, hp.n_it + 1), *(column.tolist() for column in result.history)):
+                write_row(*row)
 
     if args.out_json:
         with open(args.out_json, "w", encoding="utf-8") as fh:
@@ -193,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hp_flags(p_solve)
     p_solve.add_argument("--out-json", default=None, help="write the result as JSON")
     p_solve.add_argument("--out-svg", default=None, help="render the packed layout as SVG")
-    p_solve.add_argument("--trace-csv", default=None, help="stream per-iteration records to CSV")
+    p_solve.add_argument("--trace-csv", default=None, help="write per-iteration records to CSV after the run")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_bench = sub.add_parser("bench", help="repeated-seed benchmark over a suite or instance")

@@ -15,7 +15,7 @@ import json
 import math
 from typing import IO, Optional
 
-from .model import InvalidInputError, IterationRecord, ProblemInstance, SolveResult
+from .model import InvalidInputError, ProblemInstance, SolveResult
 from .solver import convergence_milestones
 
 
@@ -210,24 +210,27 @@ TRACE_COLUMNS = ("iteration", "target_radius", "actual_radius", "overlap", "cg_v
 
 
 class TraceCsvWriter:
-    """Streams IterationRecords to CSV; one row per iteration.
+    """Writes a run's history to CSV, one call and one row per iteration.
 
-    ``actual_radius`` is left empty on infeasible rows.
+    A row is the History columns at that iteration, as Python floats; an
+    infeasible row (NaN ``actual_radius``) leaves that cell empty.
     """
 
     def __init__(self, fh: IO[str]):
         self._writer = csv.writer(fh, lineterminator="\n")
         self._writer.writerow(TRACE_COLUMNS)
 
-    def __call__(self, record: IterationRecord) -> None:
+    def __call__(
+        self, iteration: int, target_radius: float, actual_radius: float, overlap: float, cg_violation: float
+    ) -> None:
+        feasible = not math.isnan(actual_radius)
         self._writer.writerow(
             (
-                record.iteration,
-                repr(record.target_radius),
-                "" if record.actual_radius is None else repr(record.actual_radius),
-                repr(record.overlap),
-                repr(record.cg_violation),
-                "true" if record.feasible else "false",
+                iteration,
+                repr(target_radius),
+                repr(actual_radius) if feasible else "",
+                repr(overlap),
+                repr(cg_violation),
+                "true" if feasible else "false",
             )
         )
-

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,12 +22,13 @@ class ProblemInstance:
     masses: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.radii, dtype=float)
-        m = np.array(self.masses, dtype=float)
-        r.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "masses", m)
+        for key in ("radii", "masses"):
+            try:
+                values = np.array(getattr(self, key), dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"{key} must be a flat sequence of numbers") from None
+            values.setflags(write=False)
+            object.__setattr__(self, key, values)
         problems = validate_instance(self)
         if problems:
             raise InvalidInputError("; ".join(problems))
@@ -111,21 +112,26 @@ class Hyperparameters:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"}
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    # bool subclasses int, but True is no tunable value.
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def validate_hyperparameters(hp: Hyperparameters) -> list[str]:
     problems = []
     for name in ("f_max", "v_max", "alpha", "s_max", "s_min", "c", "dt", "epsilon"):
         value = getattr(hp, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+        if not (_is_number(value) and math.isfinite(value) and value > 0.0):
             problems.append(f"{name} must be a positive finite number, got {value!r}")
-    if isinstance(hp.s_min, (int, float)) and isinstance(hp.s_max, (int, float)):
+    if _is_number(hp.s_min) and _is_number(hp.s_max):
         if math.isfinite(hp.s_min) and math.isfinite(hp.s_max) and hp.s_min > hp.s_max:
             problems.append(f"s_min ({hp.s_min}) must not exceed s_max ({hp.s_max})")
-    if not (isinstance(hp.n_it, int) and not isinstance(hp.n_it, bool) and hp.n_it >= 1):
+    if not (_is_number(hp.n_it, int) and hp.n_it >= 1):
         problems.append(f"n_it must be a positive integer, got {hp.n_it!r}")
-    if not (isinstance(hp.seed, int) and not isinstance(hp.seed, bool) and hp.seed >= 0):
+    if not (_is_number(hp.seed, int) and hp.seed >= 0):
         problems.append(f"seed must be a non-negative integer, got {hp.seed!r}")
     tol = hp.overlap_tol
-    if tol is not None and not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0.0):
+    if tol is not None and not (_is_number(tol) and math.isfinite(tol) and tol >= 0.0):
         problems.append(f"overlap_tol must be non-negative, got {tol!r}")
     return problems
 
@@ -138,21 +144,22 @@ class SwarmState:
     velocities: np.ndarray
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One row of the convergence trace.
+class History(NamedTuple):
+    """The convergence trace as float64 columns; row k is iteration k+1.
 
     ``target_radius`` is the container target in force during the iteration;
-    ``actual_radius`` is the enclosing radius about the gravity center and is
-    only present when the iteration was feasible.
+    ``actual_radius`` is the enclosing radius about the gravity center on
+    feasible rows and NaN on infeasible ones.
     """
 
-    iteration: int
-    target_radius: float
-    actual_radius: Optional[float]
-    overlap: float
-    cg_violation: float
-    feasible: bool
+    target_radius: np.ndarray
+    actual_radius: np.ndarray
+    overlap: np.ndarray
+    cg_violation: np.ndarray
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return ~np.isnan(self.actual_radius)
 
 
 @dataclass
@@ -163,7 +170,7 @@ class SolveResult:
     best_radius: Optional[float]
     best_iteration: Optional[int]
     best_positions: Optional[np.ndarray]
-    history: list[IterationRecord] = field(default_factory=list)
+    history: History
 
 
 def occupation_rate(instance: ProblemInstance, container_radius: float) -> float:

@@ -15,7 +15,7 @@ gravity center lands on the origin.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .geometry import Contacts, NeighbourList, center_of_gravity, cg_offset, enc
 from .init import initial_state
 from .model import (
     Hyperparameters,
+    History,
     InvalidInputError,
-    IterationRecord,
     ProblemInstance,
     SolveResult,
     SwarmState,
@@ -60,19 +60,14 @@ def _evaluate(
     return overlap, cg, cgv, encl, feasible
 
 
-def solve(
-    instance: ProblemInstance,
-    hp: Optional[Hyperparameters] = None,
-    *,
-    trace: Optional[Callable[[IterationRecord], None]] = None,
-) -> SolveResult:
+def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> SolveResult:
     """Run the full iteration budget and return the best layout found.
 
-    ``trace`` receives every IterationRecord as it is produced, in addition
-    to the history kept on the result. The run is deterministic in
-    (instance, hp): identical inputs give bitwise-identical results. A speed
-    or a layout that turns non-finite (hyperparameters scaled past float
-    range) raises InvalidInputError naming the iteration.
+    The result's ``history`` holds one row per iteration (see History). The
+    run is deterministic in (instance, hp): identical inputs give
+    bitwise-identical results. A speed or a layout that turns non-finite
+    (hyperparameters scaled past float range) raises InvalidInputError
+    naming the iteration.
     """
     hp = hp if hp is not None else Hyperparameters()
 
@@ -83,7 +78,8 @@ def solve(
     contacts = neighbours.contacts(state.positions)
     cg = center_of_gravity(state.positions, masses)
 
-    history: list[IterationRecord] = []
+    history = History(*np.full((4, hp.n_it), np.nan))
+    target_col, actual_col, overlap_col, cgv_col = history
     best_radius: Optional[float] = None
     best_iteration: Optional[int] = None
     best_positions: Optional[np.ndarray] = None
@@ -102,18 +98,11 @@ def solve(
                 f"layout turned non-finite at iteration {t} (enclosing radius {encl!r}, "
                 f"gravity-center offset {cgv!r}); check the hyperparameter scales"
             )
-        record = IterationRecord(
-            iteration=t,
-            target_radius=target,
-            actual_radius=encl if feasible else None,
-            overlap=overlap,
-            cg_violation=cgv,
-            feasible=feasible,
-        )
-        history.append(record)
-        if trace is not None:
-            trace(record)
+        target_col[t - 1] = target
+        overlap_col[t - 1] = overlap
+        cgv_col[t - 1] = cgv
         if feasible:
+            actual_col[t - 1] = encl
             if best_radius is None or encl < best_radius:
                 best_radius = encl
                 best_iteration = t
@@ -133,7 +122,7 @@ def solve(
     )
 
 
-def convergence_milestones(history: Sequence[IterationRecord], final_radius: float) -> dict[str, Optional[int]]:
+def convergence_milestones(history: History, final_radius: float) -> dict[str, Optional[int]]:
     """First iteration whose best-so-far radius is within each of MILESTONE_THRESHOLDS.
 
     A threshold p is reached at the first iteration where the smallest
@@ -144,18 +133,13 @@ def convergence_milestones(history: Sequence[IterationRecord], final_radius: flo
     """
     if not (math.isfinite(final_radius) and final_radius > 0.0):
         raise InvalidInputError(f"final radius must be positive, got {final_radius!r}")
-    if not any(rec.feasible for rec in history):
+    # fmin skips the NaN of infeasible rows, so best stays NaN only until
+    # the first feasible row and never rises after it.
+    best = np.fmin.accumulate(history.actual_radius)
+    if np.isnan(best).all():
         raise NoMilestonesError("run never reached a feasible layout")
     out: dict[str, Optional[int]] = {}
     for p in MILESTONE_THRESHOLDS:
-        bar = (1.0 + p) * final_radius
-        best = math.inf
-        hit: Optional[int] = None
-        for rec in history:
-            if rec.feasible and rec.actual_radius < best:
-                best = rec.actual_radius
-            if best <= bar:
-                hit = rec.iteration
-                break
-        out[str(float(p))] = hit
+        reached = best <= (1.0 + p) * final_radius
+        out[str(float(p))] = int(np.argmax(reached)) + 1 if reached[-1] else None
     return out

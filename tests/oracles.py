@@ -4,7 +4,7 @@ Each function recomputes a quantity along a path disjoint from the library
 implementation: areas by counting uniform samples, gradients by central
 differences, schedule values from the decay law in its power arrangement,
 forces one circle and one contribution at a time, contacts by testing
-every pair.
+every pair, milestones one record at a time.
 Keep these free of swarmpack imports so a bug cannot leak into its own check.
 """
 
@@ -137,6 +137,27 @@ def resultant_force(contributions, hp):
 def schedule_step_reference(t, n_it, s_max, s_min, c):
     """Decay law via the power identity exp(t*ln(1/x)) == x**(-t)."""
     return s_min + (s_max - s_min) * (1.0 + c / n_it) ** (-t)
+
+
+def milestones_by_walk(actual_radius, final_radius, thresholds):
+    """First 1-based iteration whose best-so-far radius is within (1+p)*final, per p.
+
+    Walks the rows once per threshold; a NaN radius marks an infeasible row.
+    None where the threshold is never reached.
+    """
+    out = {}
+    for p in thresholds:
+        bar = (1.0 + p) * final_radius
+        best = math.inf
+        hit = None
+        for iteration, radius in enumerate(actual_radius, start=1):
+            if not math.isnan(radius) and radius < best:
+                best = radius
+            if best <= bar:
+                hit = iteration
+                break
+        out[str(float(p))] = hit
+    return out
 
 
 # Frozen reference values (computed once from the oracles above).

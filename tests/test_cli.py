@@ -146,6 +146,16 @@ def test_rejected_flags_leave_no_trace_file(tmp_path, capsys, flags):
     assert not trace.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_stopped_run_writes_no_trace_file(tmp_path, capsys):
+    # The layout turns non-finite at the first tick; the CSV is written
+    # only after a run completes.
+    trace = tmp_path / "t.csv"
+    assert run("solve", "I1", "--vmax", "1e308", "--trace-csv", str(trace)) == EXIT_USAGE
+    assert "non-finite at iteration 1 " in capsys.readouterr().err
+    assert not trace.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_speed_overflow_exits_with_2(capsys):
     # Finite forces times dt=1e200 overflow the speed; the run stops at once

@@ -196,24 +196,30 @@ def test_result_parse_rejects_non_objects():
 
 def test_trace_csv_streams_one_row_per_iteration():
     inst = ProblemInstance("traced", radii=[1.0, 1.2], masses=[1.0, 2.0])
+    result = solve(inst, Hyperparameters(n_it=30, seed=2))
     buffer = io.StringIO()
-    writer = TraceCsvWriter(buffer)
-    result = solve(inst, Hyperparameters(n_it=30, seed=2), trace=writer)
+    write_row = TraceCsvWriter(buffer)
+    rows = list(zip(range(1, 31), *(column.tolist() for column in result.history)))
+    for row in rows:
+        write_row(*row)
     lines = buffer.getvalue().splitlines()
     assert lines[0] == ",".join(TRACE_COLUMNS)
     assert len(lines) == 31
-    for record, line in zip(result.history, lines[1:]):
+    assert "np." not in buffer.getvalue()
+    feasible = result.history.feasible.tolist()
+    assert any(feasible) and not all(feasible)
+    for (iteration, target, actual, overlap, cgv), is_feasible, line in zip(rows, feasible, lines[1:]):
         fields = line.split(",")
-        assert int(fields[0]) == record.iteration
-        assert float(fields[1]) == record.target_radius
-        if record.feasible:
-            assert float(fields[2]) == record.actual_radius
+        assert int(fields[0]) == iteration
+        assert float(fields[1]) == target
+        if is_feasible:
+            assert float(fields[2]) == actual
             assert fields[5] == "true"
         else:
             assert fields[2] == ""
             assert fields[5] == "false"
-        assert float(fields[3]) == record.overlap
-        assert float(fields[4]) == record.cg_violation
+        assert float(fields[3]) == overlap
+        assert float(fields[4]) == cgv
 
 
 # ------------------------------------------------------------------------ svg

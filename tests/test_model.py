@@ -53,6 +53,11 @@ def test_validate_instance_flags_each_defect():
         ("a", [math.nan], [1.0], "finite"),
         ("a", np.ones((2, 2)), np.ones(4), "1-D"),
         ("a", [], [], "at least one"),
+        # Not numpy's bare ValueError or TypeError from the conversion.
+        ("a", ["x"], [1.0], "^radii"),
+        ("a", [[1, 2], [3]], [1.0, 1.0], "^radii"),
+        ("a", [1.0], ["heavy"], "^masses"),
+        ("a", [1.0], [1j], "^masses"),
     ]
     for name, radii, masses, fragment in cases:
         with pytest.raises(InvalidInputError, match=fragment):
@@ -120,6 +125,8 @@ def test_validate_hyperparameters_flags_bad_values():
         ({"overlap_tol": "0.1"}, "^overlap_tol"),
         ({"alpha": -5.0}, "^alpha"),
         ({"c": 0.0}, "^c must"),
+        ({"v_max": True}, "^v_max"),
+        ({"overlap_tol": False}, "^overlap_tol"),
     ]
     for overrides, fragment in cases:
         with pytest.raises(InvalidInputError, match=fragment):

@@ -8,10 +8,16 @@ from swarmpack.corpus import CORPUS
 from swarmpack.geometry import cg_violation, contact_pairs, enclosing_radius, total_overlap
 from swarmpack.init import initial_container_radius
 from swarmpack.instance_io import format_result_json
-from swarmpack.model import Hyperparameters, InvalidInputError, IterationRecord, ProblemInstance, SwarmState
-from swarmpack.solver import NoMilestonesError, convergence_milestones, solve
+from swarmpack.model import History, Hyperparameters, InvalidInputError, ProblemInstance, SwarmState
+from swarmpack.solver import (
+    FEASIBLE_RADIUS_EPS,
+    MILESTONE_THRESHOLDS,
+    NoMilestonesError,
+    convergence_milestones,
+    solve,
+)
 
-from oracles import all_pairs_contacts
+from oracles import all_pairs_contacts, milestones_by_walk
 
 
 def state_of(positions):
@@ -19,15 +25,23 @@ def state_of(positions):
     return SwarmState(positions=p, velocities=np.zeros_like(p))
 
 
-def record_of(iteration, actual, feasible=True, target=None):
-    return IterationRecord(
-        iteration=iteration,
-        target_radius=actual if target is None else target,
-        actual_radius=actual if feasible else None,
-        overlap=0.0,
-        cg_violation=0.0,
-        feasible=feasible,
-    )
+def history_of(actual_radius):
+    # Milestones read only actual_radius, where NaN rows are infeasible.
+    actual = np.asarray(actual_radius, dtype=float)
+    zeros = np.zeros_like(actual)
+    return History(target_radius=zeros, actual_radius=actual, overlap=zeros, cg_violation=zeros)
+
+
+def history_with(feasible_rows, n=900):
+    # A history of n iterations, feasible only at the listed {iteration: radius}.
+    actual = np.full(n, np.nan)
+    for iteration, radius in feasible_rows.items():
+        actual[iteration - 1] = radius
+    return history_of(actual)
+
+
+def columns_bytes(history):
+    return [column.tobytes() for column in history]
 
 
 # A pair of radius-10 circles that seed 6 drops almost on top of each other
@@ -69,31 +83,31 @@ def test_single_circle_solves_exactly():
     assert result.best_radius == 2.0
     assert result.best_iteration == 1
     assert result.best_positions.tolist() == [[0.0, 0.0]]
-    assert len(result.history) == 50
+    assert result.history.target_radius.shape == (50,)
 
 
 def test_history_covers_every_iteration_and_starts_at_the_seed_radius():
     inst = ProblemInstance("trio", radii=[2.0, 1.0, 1.5], masses=[4.0, 1.0, 2.0])
     hp = Hyperparameters(n_it=120, seed=1)
     result = solve(inst, hp)
-    assert [rec.iteration for rec in result.history] == list(range(1, 121))
-    assert result.history[0].target_radius == initial_container_radius(inst)
-    targets = [rec.target_radius for rec in result.history]
-    assert all(b <= a for a, b in zip(targets, targets[1:]))
+    assert [column.shape for column in result.history] == [(120,)] * 4
+    assert not np.isnan(result.history.target_radius).any()
+    assert result.history.target_radius[0] == initial_container_radius(inst)
+    assert np.all(np.diff(result.history.target_radius) <= 0.0)
 
 
 def test_best_tracks_the_smallest_feasible_radius():
     inst = ProblemInstance("quad", radii=[1.0, 1.2, 0.8, 1.1], masses=[1.0, 2.0, 3.0, 4.0])
     result = solve(inst, Hyperparameters(n_it=400, seed=2))
     assert result.feasible
-    feasible_radii = [(rec.actual_radius, rec.iteration) for rec in result.history if rec.feasible]
-    assert feasible_radii
-    best_radius = min(r for r, _ in feasible_radii)
-    assert result.best_radius == best_radius
-    assert result.best_iteration == min(i for r, i in feasible_radii if r == best_radius)
-    for rec in result.history:
-        if not rec.feasible:
-            assert rec.actual_radius is None
+    history = result.history
+    feasible = history.feasible
+    assert feasible.any() and not feasible.all()
+    radii = history.actual_radius[feasible]
+    assert result.best_radius == radii.min()
+    assert result.best_iteration == int(np.flatnonzero(history.actual_radius == radii.min())[0]) + 1
+    # A row is feasible only where its radius fits the target in force.
+    assert np.all(radii <= history.target_radius[feasible] + FEASIBLE_RADIUS_EPS)
 
 
 def test_best_layout_is_centered_and_consistent():
@@ -116,7 +130,7 @@ def test_solve_is_deterministic():
     assert a.best_radius == b.best_radius
     assert a.best_iteration == b.best_iteration
     assert a.best_positions.tobytes() == b.best_positions.tobytes()
-    assert a.history == b.history
+    assert columns_bytes(a.history) == columns_bytes(b.history)
 
 
 @pytest.mark.parametrize("name", ["I1", "II1"])
@@ -145,7 +159,7 @@ def test_neighbour_list_solve_matches_a_search_per_layout(monkeypatch, name, n_i
     monkeypatch.setattr(solver, "NeighbourList", StatelessSearch)
     searched = solve(inst, hp)
     assert format_result_json(listed) == format_result_json(searched)
-    assert listed.history == searched.history
+    assert columns_bytes(listed.history) == columns_bytes(searched.history)
 
 
 def test_gravity_center_is_computed_once_per_layout(monkeypatch):
@@ -173,17 +187,17 @@ def test_gravity_center_is_computed_once_per_layout(monkeypatch):
 def test_speed_overflow_stops_the_run():
     # Each force is finite, but dt scales the velocity past float range: the
     # clamp has no direction left and would freeze the swarm at zero speed.
-    seen = []
     with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="iteration 1: speed overflowed"):
-        solve(CORPUS.get("I1"), Hyperparameters(dt=1e200, n_it=50), trace=seen.append)
-    assert seen == []
+        solve(CORPUS.get("I1"), Hyperparameters(dt=1e200, n_it=50))
 
 
-def test_trace_sees_every_record_in_order():
+def test_history_is_four_float_columns():
     inst = ProblemInstance("traced", radii=[1.0, 1.0], masses=[1.0, 1.0])
-    seen = []
-    result = solve(inst, Hyperparameters(n_it=40, seed=5), trace=seen.append)
-    assert seen == result.history
+    history = solve(inst, Hyperparameters(n_it=40, seed=5)).history
+    assert history._fields == ("target_radius", "actual_radius", "overlap", "cg_violation")
+    assert all(column.dtype == np.float64 and column.shape == (40,) for column in history)
+    assert history.feasible.tolist() == [not math.isnan(r) for r in history.actual_radius.tolist()]
+    assert np.isfinite(history.overlap).all() and np.isfinite(history.cg_violation).all()
 
 
 def test_infeasible_run_reports_nothing():
@@ -192,8 +206,7 @@ def test_infeasible_run_reports_nothing():
     assert result.best_radius is None
     assert result.best_iteration is None
     assert result.best_positions is None
-    assert len(result.history) == 1
-    assert not result.history[0].feasible
+    assert result.history.feasible.tolist() == [False]
 
 
 def test_bad_input_is_rejected_when_built():
@@ -208,35 +221,51 @@ def test_bad_input_is_rejected_when_built():
 def test_solve_stops_when_the_layout_turns_non_finite():
     # v_max near the float limit passes validation, but the first push
     # overflows and every coordinate turns NaN: the run stops at once.
-    seen = []
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError, match="non-finite at iteration 1 "):
-        solve(CORPUS.get("I1"), Hyperparameters(v_max=1e308), trace=seen.append)
-    assert seen == []
+        solve(CORPUS.get("I1"), Hyperparameters(v_max=1e308))
 
 
 def test_milestones_walk_the_best_so_far():
-    history = [
-        record_of(10, 110.0),
-        record_of(30, 150.0, feasible=False),
-        record_of(50, 103.0),
-        record_of(200, 100.05),
-        record_of(900, 100.0),
-    ]
+    history = history_with({10: 110.0, 50: 103.0, 200: 100.05, 900: 100.0})
     got = convergence_milestones(history, 100.0)
     assert list(got.items()) == [("0.1", 10), ("0.05", 50), ("0.01", 200), ("0.005", 200), ("0.001", 200)]
 
 
 def test_milestones_against_a_foreign_reference_may_stay_open():
-    history = [record_of(10, 110.0), record_of(20, 104.0)]
+    history = history_with({10: 110.0, 20: 104.0})
     got = convergence_milestones(history, 100.0)
     assert list(got.items()) == [("0.1", 10), ("0.05", 20), ("0.01", None), ("0.005", None), ("0.001", None)]
 
 
 def test_milestones_require_a_feasible_run_and_sane_reference():
-    history = [record_of(1, None, feasible=False, target=50.0)]
     with pytest.raises(NoMilestonesError):
-        convergence_milestones(history, 100.0)
+        convergence_milestones(history_with({}), 100.0)
     with pytest.raises(InvalidInputError):
-        convergence_milestones([record_of(1, 10.0)], 0.0)
+        convergence_milestones(history_with({1: 10.0}), 0.0)
     with pytest.raises(InvalidInputError):
-        convergence_milestones([record_of(1, 10.0)], math.nan)
+        convergence_milestones(history_with({1: 10.0}), math.nan)
+
+
+def random_radii(rng):
+    # A noisy descent to a final radius of 100 with a NaN prefix and NaN
+    # gaps, on a coarse grid so that equal radii (ties) are common, plus one
+    # row exactly on a threshold bar.
+    n = int(rng.integers(2, 400))
+    radii = np.maximum(np.round(120.0 - np.cumsum(rng.random(n)) * rng.uniform(0.01, 0.1), 1), 100.1)
+    radii[rng.random(n) < rng.uniform(0.0, 0.9)] = np.nan
+    radii[: rng.integers(0, n)] = np.nan
+    radii[rng.integers(0, n - 1)] = (1.0 + rng.choice(MILESTONE_THRESHOLDS)) * 100.0
+    radii[-1] = 100.0
+    return radii
+
+
+def test_vectorised_milestones_match_the_record_walk():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        radii = random_radii(rng)
+        # The run's own final radius, and a foreign one that leaves the
+        # tighter thresholds unreached.
+        for reference, open_thresholds in ((100.0, 0), (99.5, 2)):
+            want = milestones_by_walk(radii.tolist(), reference, MILESTONE_THRESHOLDS)
+            assert convergence_milestones(history_of(radii), reference) == want
+            assert list(want.values()).count(None) >= open_thresholds
