@@ -21,6 +21,7 @@ from .instance_io import (
     format_result_json,
     load_instance,
     parse_result_dict,
+    read_text,
 )
 from .model import Hyperparameters, InvalidInputError, ProblemInstance
 from .solver import solve
@@ -148,8 +149,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    with open(args.result, "r", encoding="utf-8") as fh:
-        data = parse_result_dict(fh.read())
+    data = parse_result_dict(read_text(args.result))
     if not data["feasible"]:
         print(f"{args.result}: result is infeasible, nothing to render", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Hyperparameters, InvalidInputError, SwarmState
+from .model import Hyperparameters, InvalidInputError
 
 
-def integrate_step(state: SwarmState, forces, masses, hp: Hyperparameters) -> SwarmState:
-    """Advance the swarm one tick and return the new state.
+def integrate_step(
+    positions: np.ndarray, velocities: np.ndarray, forces, masses, hp: Hyperparameters
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the swarm one tick and return the new (positions, velocities).
 
     Velocities update first and positions move with the *new* velocity; the
     speed clamp afterwards keeps any single tick from teleporting a circle
@@ -17,7 +19,7 @@ def integrate_step(state: SwarmState, forces, masses, hp: Hyperparameters) -> Sw
     instance's positive float array.
     """
     acc = np.asarray(forces, dtype=float) / masses[:, None]
-    vel = state.velocities + acc * hp.dt
+    vel = velocities + acc * hp.dt
     speed = np.sqrt(vel[:, 0] ** 2 + vel[:, 1] ** 2)
     top = speed.max()
     if top > hp.v_max:
@@ -25,5 +27,4 @@ def integrate_step(state: SwarmState, forces, masses, hp: Hyperparameters) -> Sw
             raise InvalidInputError("speed overflowed to inf; check the dt, f_max and v_max scales")
         over = speed > hp.v_max
         vel[over] *= (hp.v_max / speed[over])[:, None]
-    pos = state.positions + vel * hp.dt
-    return SwarmState(positions=pos, velocities=vel)
+    return positions + vel * hp.dt, vel

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Contacts, center_of_gravity, cg_offset
-from .model import Hyperparameters, ProblemInstance, SwarmState
+from .model import Hyperparameters, ProblemInstance
 
 # A pair triggers the separation push when the centers are closer than the
 # radius sum minus this slack; a circle counts as contained when its far
@@ -27,6 +27,9 @@ from .model import Hyperparameters, ProblemInstance, SwarmState
 # tangency from flapping between branches.
 OVERLAP_TRIGGER_EPS = 1e-12
 CONTAINMENT_EPS = 1e-12
+# Added to every distance a push divides by, so coincident centers give a
+# finite push; a gravity center closer than this to the origin gets no pull.
+EPSILON = 1e-9
 
 
 def find_overlap_pairs(radii, contacts: Contacts) -> np.ndarray:
@@ -53,7 +56,8 @@ def _directed_sorted(i, j, n):
 
 
 def assemble_forces(
-    state: SwarmState,
+    positions: np.ndarray,
+    velocities: np.ndarray,
     instance: ProblemInstance,
     target_radius: float,
     hp: Hyperparameters,
@@ -62,12 +66,11 @@ def assemble_forces(
 ) -> np.ndarray:
     """Capped resultant force on every circle, as an (N, 2) array.
 
-    ``contacts`` and ``cg`` are the layout's ``contact_pairs`` result and
-    gravity center; the container is centered on the origin.
+    ``positions`` and ``velocities`` are (N, 2) arrays; ``contacts`` and
+    ``cg`` are the layout's ``contact_pairs`` result and gravity center. The
+    container is centered on the origin.
     """
-    p = state.positions
-    v = state.velocities
-    r = instance.radii
+    p, v, r = positions, velocities, instance.radii
     n = p.shape[0]
 
     total = np.zeros((n, 2))
@@ -77,7 +80,7 @@ def assemble_forces(
         src, dst = pairs[:, 0], pairs[:, 1]
         delta = p[dst] - p[src]
         dist = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
-        push = -(delta / (dist + hp.epsilon)[:, None]) * hp.v_max - v[src]
+        push = -(delta / (dist + EPSILON)[:, None]) * hp.v_max - v[src]
         # np.add.at applies the rows in array order, i.e. ascending (i, j).
         np.add.at(total, src, push)
 
@@ -91,16 +94,16 @@ def assemble_forces(
     return total
 
 
-def _cg_gradient_all(cg, masses, epsilon):
+def _cg_gradient_all(cg, masses):
     # cg_gradient for every circle at once, as (N, 2); None where it is zero.
     norm = cg_offset(cg)
-    if norm < epsilon or norm == 0.0:
+    if norm < EPSILON:
         return None
     return (masses / masses.sum())[:, None] * (cg / norm)[None, :]
 
 
 def _cg_force_all(p, cg, masses, hp):
-    grad = _cg_gradient_all(cg, masses, hp.epsilon)
+    grad = _cg_gradient_all(cg, masses)
     if grad is None:
         return np.zeros_like(p)
     return -hp.alpha * grad
@@ -109,19 +112,19 @@ def _cg_force_all(p, cg, masses, hp):
 def _radius_force_all(p, v, r, target_radius, hp):
     delta = -p
     dist = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
-    force = (delta / (dist + hp.epsilon)[:, None]) * hp.v_max - v
+    force = (delta / (dist + EPSILON)[:, None]) * hp.v_max - v
     inside = dist + r <= target_radius + CONTAINMENT_EPS
     force[inside] = 0.0
     return force
 
 
-def cg_gradient(i: int, positions, masses, epsilon: float = 0.0) -> np.ndarray:
+def cg_gradient(i: int, positions, masses) -> np.ndarray:
     """Derivative of the gravity-center distance with respect to p_i.
 
     The distance is m_i/sum(m) times the unit vector toward the gravity
-    center; inside the epsilon ball around the origin the gradient is taken
+    center; inside the EPSILON ball around the origin the gradient is taken
     as zero (the distance has no derivative at its cone point).
     """
     m = np.asarray(masses, dtype=float)
-    grad = _cg_gradient_all(center_of_gravity(positions, m), m, epsilon)
+    grad = _cg_gradient_all(center_of_gravity(positions, m), m)
     return np.zeros(2) if grad is None else grad[i]

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .model import Hyperparameters, InvalidInputError, ProblemInstance, SwarmState
+from .model import Hyperparameters, InvalidInputError, ProblemInstance
 from .schedule import ContainerSchedule
 
 # The starting container is sized so the circles cover 15% of its area.
@@ -50,8 +50,10 @@ def initial_positions(instance: ProblemInstance, container_radius: float, seed: 
     return positions
 
 
-def initial_state(instance: ProblemInstance, hp: Hyperparameters) -> tuple[SwarmState, ContainerSchedule]:
-    """Swarm at rest on its Latin-Hypercube scatter, schedule at the 15% radius."""
+def initial_state(
+    instance: ProblemInstance, hp: Hyperparameters
+) -> tuple[np.ndarray, np.ndarray, ContainerSchedule]:
+    """Positions on the Latin-Hypercube scatter, zero velocities, schedule at the 15% radius."""
     radius = initial_container_radius(instance)
-    state = SwarmState(positions=initial_positions(instance, radius, hp.seed), velocities=np.zeros((instance.n, 2)))
-    return state, ContainerSchedule(target_radius=radius)
+    positions = initial_positions(instance, radius, hp.seed)
+    return positions, np.zeros((instance.n, 2)), ContainerSchedule(target_radius=radius)

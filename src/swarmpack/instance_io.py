@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import IO, Optional
+from typing import IO
 
-from .model import InvalidInputError, ProblemInstance, SolveResult
-from .solver import convergence_milestones
+from .forces import EPSILON
+from .model import InvalidInputError, ProblemInstance, SolveResult, finite_number
+from .solver import convergence_milestones, overlap_tolerance
 
 
 class ParseError(InvalidInputError):
@@ -40,17 +41,6 @@ def _parse_number(token: str, what: str, line_no: int) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise ParseError(f"line {line_no}: {what} must be positive and finite, got {token}")
     return value
-
-
-def _finite_number(value) -> Optional[float]:
-    # A JSON number as a finite float; None for anything else, bools included.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond float range
-        return None
-    return number if math.isfinite(number) else None
 
 
 def _checked_instance(name, radii, masses) -> ProblemInstance:
@@ -108,11 +98,17 @@ def format_instance(instance: ProblemInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_instance_json(text: str) -> ProblemInstance:
+def _parse_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def parse_instance_json(text: str) -> ProblemInstance:
+    data = _parse_json(text)
     if not isinstance(data, dict) or "name" not in data or "circles" not in data:
         raise ParseError("instance JSON must be an object with 'name' and 'circles'")
     circles = data["circles"]
@@ -124,7 +120,7 @@ def parse_instance_json(text: str) -> ProblemInstance:
         if not isinstance(entry, dict) or "radius" not in entry or "mass" not in entry:
             raise ParseError(f"circle {pos}: expected an object with 'radius' and 'mass'")
         for key, values in (("radius", radii), ("mass", masses)):
-            value = _finite_number(entry[key])
+            value = finite_number(entry[key])
             if value is None:
                 raise ParseError(f"circle {pos}: {key} must be a finite number, got {entry[key]!r}")
             values.append(value)
@@ -134,10 +130,18 @@ def parse_instance_json(text: str) -> ProblemInstance:
     return _checked_instance(name, radii, masses)
 
 
+def read_text(path: str) -> str:
+    """A file's UTF-8 text; bytes that are not UTF-8 raise ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_instance(path: str) -> ProblemInstance:
     """Parse a file, dispatching on the .json suffix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     if str(path).endswith(".json"):
         return parse_instance_json(text)
     return parse_instance(text)
@@ -151,7 +155,7 @@ def result_to_dict(result: SolveResult) -> dict:
         "radii": instance.radii.tolist(),
         "masses": instance.masses.tolist(),
         "seed": hp.seed,
-        "hyperparameters": {**hp.tunables(), "overlap_tol": hp.resolved_overlap_tol(instance)},
+        "hyperparameters": {**hp.tunables(), "epsilon": EPSILON, "overlap_tol": overlap_tolerance(instance)},
         "feasible": result.feasible,
         "best_radius": result.best_radius,
         "best_iteration": result.best_iteration,
@@ -172,10 +176,7 @@ def parse_result_dict(text: str) -> dict:
     per position, and circles and a name that make a valid ProblemInstance;
     whether the layout is a valid packing is not checked.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    data = _parse_json(text)
     if not isinstance(data, dict):
         raise ParseError("result JSON must be an object")
     for key in ("instance", "radii", "masses", "feasible", "best_radius", "positions"):
@@ -190,17 +191,17 @@ def parse_result_dict(text: str) -> dict:
     if not isinstance(data["feasible"], bool):
         raise ParseError(f"feasible must be true or false, got {data['feasible']!r}")
     if data["feasible"]:
-        best = _finite_number(data["best_radius"])
+        best = finite_number(data["best_radius"])
         if best is None or best <= 0.0:
             raise ParseError(f"best_radius must be a positive finite number, got {data['best_radius']!r}")
         positions = data["positions"]
         if not isinstance(positions, list) or len(positions) != len(radii):
             raise ParseError("positions must list one [x, y] per circle")
         for k, point in enumerate(positions):
-            if not (isinstance(point, list) and len(point) == 2 and all(_finite_number(x) is not None for x in point)):
+            if not (isinstance(point, list) and len(point) == 2 and all(finite_number(x) is not None for x in point)):
                 raise ParseError(f"position {k} must be two finite numbers, got {point!r}")
         for k, (radius, mass) in enumerate(zip(radii, masses)):
-            if _finite_number(radius) is None or _finite_number(mass) is None:
+            if finite_number(radius) is None or finite_number(mass) is None:
                 raise ParseError(f"circle {k}: radius and mass must be finite numbers, got {radius!r} and {mass!r}")
         _checked_instance(data["instance"], radii, masses)
     return data

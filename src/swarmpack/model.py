@@ -25,8 +25,8 @@ class ProblemInstance:
         for key in ("radii", "masses"):
             try:
                 values = np.array(getattr(self, key), dtype=float)
-            except (TypeError, ValueError):
-                raise InvalidInputError(f"{key} must be a flat sequence of numbers") from None
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidInputError(f"{key} must be a flat sequence of numbers in float range") from None
             values.setflags(write=False)
             object.__setattr__(self, key, values)
         problems = validate_instance(self)
@@ -77,12 +77,7 @@ def validate_instance(instance: ProblemInstance) -> list[str]:
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    """Solver tunables.
-
-    ``overlap_tol=None`` resolves per instance to 1e-6 times the smallest
-    circle area, so "no overlap" scales with the finest feature present.
-    Building one with an invalid value raises InvalidInputError.
-    """
+    """Solver tunables; building one with an invalid value raises InvalidInputError."""
 
     f_max: float = 50.0
     v_max: float = 2.0
@@ -92,8 +87,6 @@ class Hyperparameters:
     c: float = 10.0
     n_it: int = 20000
     dt: float = 1.0
-    epsilon: float = 1e-9
-    overlap_tol: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -101,47 +94,37 @@ class Hyperparameters:
         if problems:
             raise InvalidInputError("; ".join(problems))
 
-    def resolved_overlap_tol(self, instance: ProblemInstance) -> float:
-        if self.overlap_tol is not None:
-            return self.overlap_tol
-        smallest = float(np.min(instance.radii))
-        return 1e-6 * math.pi * smallest * smallest
-
     def tunables(self) -> dict:
         """Every field except the seed, by name, as the reports write them."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"}
 
 
-def _is_number(value, kinds=(int, float)) -> bool:
-    # bool subclasses int, but True is no tunable value.
-    return isinstance(value, kinds) and not isinstance(value, bool)
+def finite_number(value) -> Optional[float]:
+    """``value`` as a finite float if it is a real number and not a bool, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        return None
+    return number if math.isfinite(number) else None
 
 
 def validate_hyperparameters(hp: Hyperparameters) -> list[str]:
     problems = []
-    for name in ("f_max", "v_max", "alpha", "s_max", "s_min", "c", "dt", "epsilon"):
-        value = getattr(hp, name)
-        if not (_is_number(value) and math.isfinite(value) and value > 0.0):
-            problems.append(f"{name} must be a positive finite number, got {value!r}")
-    if _is_number(hp.s_min) and _is_number(hp.s_max):
-        if math.isfinite(hp.s_min) and math.isfinite(hp.s_max) and hp.s_min > hp.s_max:
-            problems.append(f"s_min ({hp.s_min}) must not exceed s_max ({hp.s_max})")
-    if not (_is_number(hp.n_it, int) and hp.n_it >= 1):
+    for name in ("f_max", "v_max", "alpha", "s_max", "s_min", "c", "dt"):
+        value = finite_number(getattr(hp, name))
+        if value is None or value <= 0.0:
+            problems.append(f"{name} must be a positive finite number, got {getattr(hp, name)!r}")
+    s_min, s_max = finite_number(hp.s_min), finite_number(hp.s_max)
+    if s_min is not None and s_max is not None and s_min > s_max:
+        problems.append(f"s_min ({hp.s_min}) must not exceed s_max ({hp.s_max})")
+    # bool subclasses int, but True is no count.
+    if isinstance(hp.n_it, bool) or not (isinstance(hp.n_it, int) and hp.n_it >= 1):
         problems.append(f"n_it must be a positive integer, got {hp.n_it!r}")
-    if not (_is_number(hp.seed, int) and hp.seed >= 0):
+    if isinstance(hp.seed, bool) or not (isinstance(hp.seed, int) and hp.seed >= 0):
         problems.append(f"seed must be a non-negative integer, got {hp.seed!r}")
-    tol = hp.overlap_tol
-    if tol is not None and not (_is_number(tol) and math.isfinite(tol) and tol >= 0.0):
-        problems.append(f"overlap_tol must be non-negative, got {tol!r}")
     return problems
-
-
-@dataclass
-class SwarmState:
-    """Positions and velocities of the swarm, as (N, 2) arrays."""
-
-    positions: np.ndarray
-    velocities: np.ndarray
 
 
 class History(NamedTuple):

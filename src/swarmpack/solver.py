@@ -23,14 +23,7 @@ from .dynamics import integrate_step
 from .forces import assemble_forces
 from .geometry import Contacts, NeighbourList, center_of_gravity, cg_offset, enclosing_radius, total_overlap
 from .init import initial_state
-from .model import (
-    Hyperparameters,
-    History,
-    InvalidInputError,
-    ProblemInstance,
-    SolveResult,
-    SwarmState,
-)
+from .model import Hyperparameters, History, InvalidInputError, ProblemInstance, SolveResult
 
 # Slack on the enclosing-radius comparison; keeps a ratchet step of exactly
 # target == actual from reading as infeasible through rounding.
@@ -45,17 +38,23 @@ class NoMilestonesError(RuntimeError):
     """Milestones were requested for a run that never became feasible."""
 
 
+def overlap_tolerance(instance: ProblemInstance) -> float:
+    """Total overlap that counts as none: 1e-6 times the smallest circle's area."""
+    smallest = float(np.min(instance.radii))
+    return 1e-6 * math.pi * smallest * smallest
+
+
 def _evaluate(
-    state: SwarmState,
+    positions: np.ndarray,
     instance: ProblemInstance,
     target_radius: float,
     overlap_tol: float,
     contacts: Contacts,
 ):
-    overlap = total_overlap(state.positions, instance.radii, contacts=contacts)
-    cg = center_of_gravity(state.positions, instance.masses)
+    overlap = total_overlap(positions, instance.radii, contacts=contacts)
+    cg = center_of_gravity(positions, instance.masses)
     cgv = cg_offset(cg)
-    encl = enclosing_radius(state.positions, instance.radii, cg)
+    encl = enclosing_radius(positions, instance.radii, cg)
     feasible = overlap <= overlap_tol and encl <= target_radius + FEASIBLE_RADIUS_EPS
     return overlap, cg, cgv, encl, feasible
 
@@ -67,18 +66,21 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
     run is deterministic in (instance, hp): identical inputs give
     bitwise-identical results. A speed or a layout that turns non-finite
     (hyperparameters scaled past float range) raises InvalidInputError
-    naming the iteration.
+    naming the iteration, and so does an ``n_it`` too large for the history.
     """
     hp = hp if hp is not None else Hyperparameters()
 
-    state, schedule = initial_state(instance, hp)
-    overlap_tol = hp.resolved_overlap_tol(instance)
+    try:
+        history = History(*np.full((4, hp.n_it), np.nan))
+    except (ValueError, MemoryError):
+        raise InvalidInputError(f"n_it ({hp.n_it}) is too large to hold the history of every iteration") from None
+    positions, velocities, schedule = initial_state(instance, hp)
+    overlap_tol = overlap_tolerance(instance)
     masses = instance.masses
     neighbours = NeighbourList(instance.radii, hp.v_max * hp.dt)
-    contacts = neighbours.contacts(state.positions)
-    cg = center_of_gravity(state.positions, masses)
+    contacts = neighbours.contacts(positions)
+    cg = center_of_gravity(positions, masses)
 
-    history = History(*np.full((4, hp.n_it), np.nan))
     target_col, actual_col, overlap_col, cgv_col = history
     best_radius: Optional[float] = None
     best_iteration: Optional[int] = None
@@ -86,13 +88,13 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
 
     for t in range(1, hp.n_it + 1):
         target = schedule.target_radius
-        forces = assemble_forces(state, instance, target, hp, contacts, cg)
+        forces = assemble_forces(positions, velocities, instance, target, hp, contacts, cg)
         try:
-            state = integrate_step(state, forces, masses, hp)
+            positions, velocities = integrate_step(positions, velocities, forces, masses, hp)
         except InvalidInputError as exc:
             raise InvalidInputError(f"iteration {t}: {exc}") from None
-        contacts = neighbours.contacts(state.positions)
-        overlap, cg, cgv, encl, feasible = _evaluate(state, instance, target, overlap_tol, contacts)
+        contacts = neighbours.contacts(positions)
+        overlap, cg, cgv, encl, feasible = _evaluate(positions, instance, target, overlap_tol, contacts)
         if not (math.isfinite(encl) and math.isfinite(cgv)):
             raise InvalidInputError(
                 f"layout turned non-finite at iteration {t} (enclosing radius {encl!r}, "
@@ -106,7 +108,7 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
             if best_radius is None or encl < best_radius:
                 best_radius = encl
                 best_iteration = t
-                best_positions = state.positions - cg
+                best_positions = positions - cg
             schedule.on_feasible(encl, t, hp)
         else:
             schedule.on_infeasible(hp)

@@ -90,37 +90,38 @@ def all_pairs_contacts(positions, radii, skin=0.0):
 # Per-circle force formulas, one contribution at a time, as written in the
 # paper. The library assembles all circles at once; the arithmetic per
 # element matches, so the two agree bitwise. The 1e-12 slacks mirror the
-# library's OVERLAP_TRIGGER_EPS and CONTAINMENT_EPS.
+# library's OVERLAP_TRIGGER_EPS and CONTAINMENT_EPS, and the 1e-9 distance
+# guard its EPSILON. Positions and velocities are (N, 2) arrays.
 
-def overlap_force(i, j, state, instance, hp):
+def overlap_force(i, j, positions, velocities, instance, hp):
     """Separation push on circle i from partner j; zero unless they overlap."""
     if i == j:
         raise ValueError("a circle does not repel itself")
-    delta = state.positions[j] - state.positions[i]
+    delta = positions[j] - positions[i]
     dist = math.sqrt(delta[0] * delta[0] + delta[1] * delta[1])
     if not dist < instance.radii[i] + instance.radii[j] - 1e-12:
         return np.zeros(2)
-    return -(delta / (dist + hp.epsilon)) * hp.v_max - state.velocities[i]
+    return -(delta / (dist + 1e-9)) * hp.v_max - velocities[i]
 
 
-def cg_force(i, state, instance, hp):
+def cg_force(i, positions, instance, hp):
     """Constant-magnitude pull steering the gravity center onto the origin."""
     m = np.asarray(instance.masses, dtype=float)
-    cg = (m[:, None] * state.positions).sum(axis=0) / m.sum()
+    cg = (m[:, None] * positions).sum(axis=0) / m.sum()
     norm = math.sqrt(cg[0] * cg[0] + cg[1] * cg[1])
-    if norm < hp.epsilon or norm == 0.0:
+    if norm < 1e-9:
         return np.zeros(2)
     return -hp.alpha * ((m[i] / m.sum()) * (cg / norm))
 
 
-def radius_force(i, state, instance, container_center, target_radius, hp):
+def radius_force(i, positions, velocities, instance, container_center, target_radius, hp):
     """Containment push on circle i; zero while it sits inside the target disk."""
     c = np.asarray(container_center, dtype=float).reshape(2)
-    delta = c - state.positions[i]
+    delta = c - positions[i]
     dist = math.sqrt(delta[0] * delta[0] + delta[1] * delta[1])
     if dist + instance.radii[i] <= target_radius + 1e-12:
         return np.zeros(2)
-    return (delta / (dist + hp.epsilon)) * hp.v_max - state.velocities[i]
+    return (delta / (dist + 1e-9)) * hp.v_max - velocities[i]
 
 
 def resultant_force(contributions, hp):

@@ -29,9 +29,9 @@ from swarmpack.geometry import (
     total_overlap,
 )
 from swarmpack.instance_io import format_result_json
-from swarmpack.model import Hyperparameters, ProblemInstance, SwarmState
+from swarmpack.model import Hyperparameters, ProblemInstance
 from swarmpack.schedule import step_size
-from swarmpack.solver import solve
+from swarmpack.solver import overlap_tolerance, solve
 
 from oracles import SCHEDULE_T1000_REFERENCE, all_pairs_contacts, fd_cg_gradient, mc_lens_area
 
@@ -92,11 +92,11 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _layout_invariants_ok(result, inst, hp) -> bool:
+def _layout_invariants_ok(result, inst) -> bool:
     """Feasible layouts must be overlap-free, balanced, and above the area bound."""
     bound = math.sqrt(float(np.sum(inst.radii**2)))
     return (
-        total_overlap(result.best_positions, inst.radii) <= hp.resolved_overlap_tol(inst)
+        total_overlap(result.best_positions, inst.radii) <= overlap_tolerance(inst)
         and cg_violation(result.best_positions, inst.masses) <= 1e-9
         and result.best_radius >= bound
         and math.isclose(
@@ -119,7 +119,7 @@ def _gate_runs(name: str, n_it: int):
         times.append(time.perf_counter() - start)
         if result.feasible:
             feasible.append(result.best_radius)
-            invariants = invariants and _layout_invariants_ok(result, inst, hp)
+            invariants = invariants and _layout_invariants_ok(result, inst)
     best = min(feasible) if feasible else math.inf
     return best, len(feasible), times, invariants
 
@@ -202,7 +202,7 @@ def test_c04_feasibility_invariants_across_corpus():
             if not result.feasible:
                 bad.append(f"{inst.name}/{seed}: no feasible layout")
                 continue
-            if not _layout_invariants_ok(result, inst, hp):
+            if not _layout_invariants_ok(result, inst):
                 bad.append(f"{inst.name}/{seed}: invariant violated")
     ok = not bad and total >= 50
     detail = f"{total} runs over all 13 instances, every layout balanced, overlap-free, above the area bound"
@@ -233,7 +233,7 @@ def test_c07_unit_pair_reaches_tangent_optimum():
     for seed in range(10):
         hp = Hyperparameters(seed=seed, **PAIR_HP)
         result = solve(inst, hp)
-        if result.feasible and result.best_radius <= 2.02 and _layout_invariants_ok(result, inst, hp):
+        if result.feasible and result.best_radius <= 2.02 and _layout_invariants_ok(result, inst):
             hits += 1
             worst = max(worst, result.best_radius)
     ok = hits == 10
@@ -256,16 +256,14 @@ def test_c09_grid_and_naive_forces_bitwise_equal():
         masses = rng.uniform(1.0, 10.0, 100)
         inst = ProblemInstance(f"rand{k}", radii=radii, masses=masses)
         spread = math.sqrt(float(np.sum(radii**2)))
-        state = SwarmState(
-            positions=rng.uniform(-spread, spread, (100, 2)),
-            velocities=rng.uniform(-1.0, 1.0, (100, 2)),
-        )
-        target = 0.8 * enclosing_radius(state.positions, radii)
+        positions = rng.uniform(-spread, spread, (100, 2))
+        velocities = rng.uniform(-1.0, 1.0, (100, 2))
+        target = 0.8 * enclosing_radius(positions, radii)
         hp = Hyperparameters()
-        cg = center_of_gravity(state.positions, masses)
+        cg = center_of_gravity(positions, masses)
         # Naive: the all-pairs reference contacts; grid: the library's sweep.
-        naive = assemble_forces(state, inst, target, hp, all_pairs_contacts(state.positions, radii), cg)
-        grid = assemble_forces(state, inst, target, hp, contact_pairs(state.positions, radii), cg)
+        naive = assemble_forces(positions, velocities, inst, target, hp, all_pairs_contacts(positions, radii), cg)
+        grid = assemble_forces(positions, velocities, inst, target, hp, contact_pairs(positions, radii), cg)
         mismatches += naive.tobytes() != grid.tobytes()
     ok = mismatches == 0
     _report(9, ok, "20 random 100-circle states, grid forces bitwise equal to naive")

@@ -1,6 +1,7 @@
+import argparse
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from xml.dom import minidom
 
 import pytest
@@ -136,6 +137,20 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: v_max must be a positive finite number, got -1.0; n_it must be a positive integer, got 0\n"
     )
+    # A history of 10**23 rows fails on its shape, before any memory is touched.
+    assert run("solve", "I1", "--iters", str(10**23)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: n_it ")
+
+
+def test_every_tunable_is_a_flag():
+    parser = argparse.ArgumentParser()
+    cli._add_hp_flags(parser)
+    flags = [action.option_strings[0] for action in parser._actions if action.dest != "help"]
+    # 3 differs from every default, and 3 <= 3 keeps s_min <= s_max.
+    hp = cli._hyperparameters(parser.parse_args([token for flag in flags for token in (flag, "3")]))
+    default = Hyperparameters()
+    unset = [f.name for f in fields(hp) if f.name != "seed" and getattr(hp, f.name) == getattr(default, f.name)]
+    assert unset == []
 
 
 @pytest.mark.parametrize("flags", [("--vmax", "-1"), ("--iters", "0")])
@@ -189,9 +204,8 @@ def test_bench_writes_report_and_runs(tmp_path, capsys):
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     assert report["repetitions"] == 2
     hp = report["hyperparameters"]
-    assert set(hp) == {"f_max", "v_max", "alpha", "s_max", "s_min", "c", "n_it", "dt", "epsilon", "overlap_tol"}
+    assert set(hp) == {"f_max", "v_max", "alpha", "s_max", "s_min", "c", "n_it", "dt"}
     assert hp["n_it"] == 300
-    assert hp["overlap_tol"] is None  # the unresolved default; each result JSON resolves it
     entry = report["instances"]["I1"]
     assert entry["circles"] == 10
     assert entry["reference_radius"] == 59.85
@@ -307,6 +321,25 @@ def test_malformed_json_inputs_exit_with_2(tmp_path, capsys, command, document, 
     assert run(*argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "export"])
+@pytest.mark.parametrize(
+    "suffix, payload",
+    [pytest.param(".txt", b"\xff", id="not-utf8"), pytest.param(".json", b"[" * 200000, id="deep-json")],
+)
+def test_unreadable_inputs_exit_with_2(tmp_path, capsys, command, suffix, payload):
+    # Bytes that are not UTF-8, and JSON nested past the parser's recursion limit.
+    path = tmp_path / f"input{suffix}"
+    path.write_bytes(payload)
+    if command == "solve":
+        argv = ("solve", str(path), "--iters", "1")
+    else:
+        argv = ("export", "--result", str(path), "--svg", str(tmp_path / "x.svg"))
+    assert run(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "x.svg").exists()
 
 

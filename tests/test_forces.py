@@ -10,15 +10,16 @@ from swarmpack.geometry import (
     total_overlap,
 )
 from swarmpack.forces import assemble_forces, cg_gradient, find_overlap_pairs
-from swarmpack.model import Hyperparameters, ProblemInstance, SwarmState
+from swarmpack.model import Hyperparameters, ProblemInstance
 
 from oracles import all_pairs_contacts, cg_force, fd_cg_gradient, overlap_force, radius_force, resultant_force
 
 
 def make_state(positions, velocities=None):
+    # (positions, velocities) as (N, 2) float arrays; velocities default to rest.
     p = np.asarray(positions, dtype=float)
     v = np.zeros_like(p) if velocities is None else np.asarray(velocities, dtype=float)
-    return SwarmState(positions=p, velocities=v)
+    return p, v
 
 
 def make_instance(radii, masses=None):
@@ -35,9 +36,10 @@ def random_setup(rng, n, spread=4.0):
 
 def forces_of(state, inst, target, hp, contacts=None):
     # assemble_forces on the layout's own contacts and gravity center, as solve calls it.
+    positions, velocities = state
     if contacts is None:
-        contacts = contact_pairs(state.positions, inst.radii)
-    return assemble_forces(state, inst, target, hp, contacts, center_of_gravity(state.positions, inst.masses))
+        contacts = contact_pairs(positions, inst.radii)
+    return assemble_forces(positions, velocities, inst, target, hp, contacts, center_of_gravity(positions, inst.masses))
 
 
 # ---------------------------------------------------------------- pair finding
@@ -233,19 +235,19 @@ def test_neighbour_list_without_a_skin_searches_every_call():
 def test_overlap_force_pushes_apart_at_v_max():
     state = make_state([[0.0, 0.0], [1.0, 0.0]])
     inst = make_instance([1.0, 1.0])
-    hp = Hyperparameters(v_max=5.0, epsilon=1e-9)
-    force = overlap_force(0, 1, state, inst, hp)
+    hp = Hyperparameters(v_max=5.0)
+    force = overlap_force(0, 1, *state, inst, hp)
     assert force == pytest.approx([-5.0, 0.0], abs=1e-6)
     # Newton pair at rest: the partner feels the exact opposite.
-    assert np.array_equal(overlap_force(1, 0, state, inst, hp), -force)
+    assert np.array_equal(overlap_force(1, 0, *state, inst, hp), -force)
 
 
 def test_overlap_force_subtracts_own_velocity():
     state = make_state([[0.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]])
     inst = make_instance([1.0, 1.0])
-    hp = Hyperparameters(v_max=5.0, epsilon=1e-9)
-    unit_push = overlap_force(0, 1, make_state([[0.0, 0.0], [1.0, 0.0]]), inst, hp)
-    force = overlap_force(0, 1, state, inst, hp)
+    hp = Hyperparameters(v_max=5.0)
+    unit_push = overlap_force(0, 1, *make_state([[0.0, 0.0], [1.0, 0.0]]), inst, hp)
+    force = overlap_force(0, 1, *state, inst, hp)
     assert force == pytest.approx(unit_push - np.array([1.0, 1.0]), rel=1e-15)
 
 
@@ -253,9 +255,9 @@ def test_overlap_force_zero_without_overlap_and_rejects_self():
     state = make_state([[0.0, 0.0], [2.0, 0.0]])
     inst = make_instance([1.0, 1.0])
     hp = Hyperparameters()
-    assert not overlap_force(0, 1, state, inst, hp).any()
+    assert not overlap_force(0, 1, *state, inst, hp).any()
     with pytest.raises(ValueError):
-        overlap_force(2, 2, state, inst, hp)
+        overlap_force(2, 2, *state, inst, hp)
 
 
 def test_cg_gradient_matches_finite_differences():
@@ -287,7 +289,8 @@ def test_cg_gradient_vanishes_at_the_cone_point():
     positions = [(-2.0, 0.0), (2.0, 0.0)]
     masses = [3.0, 3.0]
     assert not cg_gradient(0, positions, masses).any()
-    assert not cg_gradient(0, positions, masses, epsilon=1e-9).any()
+    # Inside the 1e-9 guard around the origin, as assemble_forces has it.
+    assert not cg_gradient(0, [(-2.0, 0.0), (2.0 + 1e-9, 0.0)], masses).any()
 
 
 def test_cg_force_is_scaled_negative_gradient():
@@ -295,20 +298,20 @@ def test_cg_force_is_scaled_negative_gradient():
     state, inst = random_setup(rng, 8)
     hp = Hyperparameters(alpha=40.0)
     for i in range(8):
-        expected = -hp.alpha * cg_gradient(i, state.positions, inst.masses, epsilon=hp.epsilon)
-        assert np.array_equal(cg_force(i, state, inst, hp), expected)
+        expected = -hp.alpha * cg_gradient(i, state[0], inst.masses)
+        assert np.array_equal(cg_force(i, state[0], inst, hp), expected)
 
 
 def test_radius_force_only_acts_outside_the_target():
     inst = make_instance([1.0])
-    hp = Hyperparameters(v_max=2.0, epsilon=1e-9)
+    hp = Hyperparameters(v_max=2.0)
     inside = make_state([[1.0, 1.0]])
-    assert not radius_force(0, inside, inst, (0.0, 0.0), 5.0, hp).any()
+    assert not radius_force(0, *inside, inst, (0.0, 0.0), 5.0, hp).any()
     # Far edge exactly on the boundary still counts as contained.
     on_boundary = make_state([[4.0, 0.0]])
-    assert not radius_force(0, on_boundary, inst, (0.0, 0.0), 5.0, hp).any()
+    assert not radius_force(0, *on_boundary, inst, (0.0, 0.0), 5.0, hp).any()
     outside = make_state([[6.0, 0.0]])
-    force = radius_force(0, outside, inst, (0.0, 0.0), 5.0, hp)
+    force = radius_force(0, *outside, inst, (0.0, 0.0), 5.0, hp)
     assert force == pytest.approx([-2.0, 0.0], abs=1e-6)
 
 
@@ -316,12 +319,12 @@ def test_radius_force_subtracts_velocity_and_respects_center():
     inst = make_instance([1.0])
     hp = Hyperparameters(v_max=2.0)
     moving = make_state([[6.0, 0.0]], [[0.5, -0.25]])
-    force = radius_force(0, moving, inst, (0.0, 0.0), 5.0, hp)
+    force = radius_force(0, *moving, inst, (0.0, 0.0), 5.0, hp)
     assert force == pytest.approx([-2.5, 0.25], abs=1e-6)
     # A circle sitting on the container center has no push direction; only
     # the damping term remains.
     centered = make_state([[3.0, 3.0]], [[0.5, 0.5]])
-    force = radius_force(0, centered, inst, (3.0, 3.0), 0.5, hp)
+    force = radius_force(0, *centered, inst, (3.0, 3.0), 0.5, hp)
     assert force == pytest.approx([-0.5, -0.5], rel=1e-15)
 
 
@@ -354,9 +357,9 @@ def test_assembly_equals_per_circle_composition():
         target = float(rng.uniform(2.0, 6.0))
         total = forces_of(state, inst, target, hp)
         for i in range(n):
-            contributions = [overlap_force(i, j, state, inst, hp) for j in range(n) if j != i]
-            contributions.append(cg_force(i, state, inst, hp))
-            contributions.append(radius_force(i, state, inst, (0.0, 0.0), target, hp))
+            contributions = [overlap_force(i, j, *state, inst, hp) for j in range(n) if j != i]
+            contributions.append(cg_force(i, state[0], inst, hp))
+            contributions.append(radius_force(i, *state, inst, (0.0, 0.0), target, hp))
             assert np.array_equal(total[i], resultant_force(contributions, hp))
 
 
@@ -367,7 +370,7 @@ def test_assembly_is_search_independent_bitwise():
         n = int(rng.integers(2, 80))
         state, inst = random_setup(rng, n, spread=6.0)
         target = float(rng.uniform(3.0, 10.0))
-        naive = forces_of(state, inst, target, hp, all_pairs_contacts(state.positions, inst.radii))
+        naive = forces_of(state, inst, target, hp, all_pairs_contacts(state[0], inst.radii))
         grid = forces_of(state, inst, target, hp)
         assert naive.tobytes() == grid.tobytes()
 

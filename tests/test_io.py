@@ -18,7 +18,7 @@ from swarmpack.instance_io import (
     result_to_dict,
 )
 from swarmpack.model import Hyperparameters, ProblemInstance
-from swarmpack.solver import solve
+from swarmpack.solver import overlap_tolerance, solve
 from swarmpack.svg import ExportError, export_svg, render_svg
 
 
@@ -138,7 +138,9 @@ def test_result_dict_carries_the_run():
     assert data["best_radius"] == result.best_radius
     assert data["seed"] == 1
     assert data["hyperparameters"]["n_it"] == 200
-    assert data["hyperparameters"]["overlap_tol"] == result.hyperparameters.resolved_overlap_tol(result.instance)
+    # The fixed distance guard and overlap bar are written beside the tunables.
+    assert data["hyperparameters"]["epsilon"] == 1e-9
+    assert data["hyperparameters"]["overlap_tol"] == overlap_tolerance(result.instance)
     assert len(data["positions"]) == 3
     assert set(data["milestones"]) == {"0.1", "0.05", "0.01", "0.005", "0.001"}
     # The document is valid input for the render path.

@@ -58,6 +58,8 @@ def test_validate_instance_flags_each_defect():
         ("a", [[1, 2], [3]], [1.0, 1.0], "^radii"),
         ("a", [1.0], ["heavy"], "^masses"),
         ("a", [1.0], [1j], "^masses"),
+        # An integer beyond float range, not OverflowError.
+        ("a", [10**400], [1], "^radii"),
     ]
     for name, radii, masses, fragment in cases:
         with pytest.raises(InvalidInputError, match=fragment):
@@ -99,16 +101,6 @@ def test_hyperparameters_defaults_validate():
     assert hp.s_min < hp.s_max
 
 
-def test_resolved_overlap_tol_scales_with_smallest_circle():
-    hp = Hyperparameters()
-    inst = small_instance()
-    assert hp.resolved_overlap_tol(inst) == pytest.approx(1e-6 * math.pi * 9.0, rel=1e-12)
-    explicit = Hyperparameters(overlap_tol=0.5)
-    assert explicit.resolved_overlap_tol(inst) == 0.5
-    # Zero is a valid explicit tolerance, not a missing one.
-    assert Hyperparameters(overlap_tol=0.0).resolved_overlap_tol(inst) == 0.0
-
-
 def test_validate_hyperparameters_flags_bad_values():
     # validate_hyperparameters runs when the tunables are built.
     cases = [
@@ -120,13 +112,12 @@ def test_validate_hyperparameters_flags_bad_values():
         ({"n_it": True}, "^n_it"),
         ({"seed": -1}, "^seed"),
         ({"dt": 0.0}, "^dt"),
-        ({"epsilon": 0.0}, "^epsilon"),
-        ({"overlap_tol": -1e-9}, "^overlap_tol"),
-        ({"overlap_tol": "0.1"}, "^overlap_tol"),
         ({"alpha": -5.0}, "^alpha"),
         ({"c": 0.0}, "^c must"),
         ({"v_max": True}, "^v_max"),
-        ({"overlap_tol": False}, "^overlap_tol"),
+        ({"dt": "0.1"}, "^dt"),
+        # An integer beyond float range, not OverflowError.
+        ({"f_max": 10**400}, "^f_max"),
     ]
     for overrides, fragment in cases:
         with pytest.raises(InvalidInputError, match=fragment):

@@ -8,21 +8,17 @@ from swarmpack.corpus import CORPUS
 from swarmpack.geometry import cg_violation, contact_pairs, enclosing_radius, total_overlap
 from swarmpack.init import initial_container_radius
 from swarmpack.instance_io import format_result_json
-from swarmpack.model import History, Hyperparameters, InvalidInputError, ProblemInstance, SwarmState
+from swarmpack.model import History, Hyperparameters, InvalidInputError, ProblemInstance
 from swarmpack.solver import (
     FEASIBLE_RADIUS_EPS,
     MILESTONE_THRESHOLDS,
     NoMilestonesError,
     convergence_milestones,
+    overlap_tolerance,
     solve,
 )
 
 from oracles import all_pairs_contacts, milestones_by_walk
-
-
-def state_of(positions):
-    p = np.asarray(positions, dtype=float)
-    return SwarmState(positions=p, velocities=np.zeros_like(p))
 
 
 def history_of(actual_radius):
@@ -51,28 +47,32 @@ DEEP_PAIR = ProblemInstance("deeppair", radii=[10.0, 10.0], masses=[1.0, 1.0])
 DEEP_PAIR_SEED = 6
 
 
-def is_feasible(state, instance, target_radius, hp):
+def is_feasible(positions, instance, target_radius):
     # The per-layout evaluation solve runs after every tick.
-    tol = hp.resolved_overlap_tol(instance)
-    contacts = contact_pairs(state.positions, instance.radii)
-    return solver._evaluate(state, instance, target_radius, tol, contacts)[-1]
+    positions = np.asarray(positions, dtype=float)
+    contacts = contact_pairs(positions, instance.radii)
+    return solver._evaluate(positions, instance, target_radius, overlap_tolerance(instance), contacts)[-1]
 
 
 def test_is_feasible_judges_fit_about_the_gravity_center():
     inst = ProblemInstance("duo", radii=[1.0, 1.0], masses=[1.0, 1.0])
-    hp = Hyperparameters()
-    apart = state_of([[-1.5, 0.0], [1.5, 0.0]])
-    assert is_feasible(apart, inst, 2.5, hp)
-    assert not is_feasible(apart, inst, 2.4, hp)
-    overlapping = state_of([[-0.5, 0.0], [0.5, 0.0]])
-    assert not is_feasible(overlapping, inst, 10.0, hp)
+    apart = [[-1.5, 0.0], [1.5, 0.0]]
+    assert is_feasible(apart, inst, 2.5)
+    assert not is_feasible(apart, inst, 2.4)
+    overlapping = [[-0.5, 0.0], [0.5, 0.0]]
+    assert not is_feasible(overlapping, inst, 10.0)
 
     lopsided = ProblemInstance("lop", radii=[1.0, 1.0], masses=[3.0, 1.0])
-    state = state_of([[0.0, 0.0], [3.0, 0.0]])
+    positions = [[0.0, 0.0], [3.0, 0.0]]
     # Gravity center sits at x=0.75, so the fit radius is 3.25, not the
     # origin-centered 4.
-    assert is_feasible(state, lopsided, 3.25, hp)
-    assert not is_feasible(state, lopsided, 3.2, hp)
+    assert is_feasible(positions, lopsided, 3.25)
+    assert not is_feasible(positions, lopsided, 3.2)
+
+
+def test_overlap_tolerance_scales_with_smallest_circle():
+    inst = ProblemInstance("toy", radii=[3.0, 4.0], masses=[1.0, 2.0])
+    assert overlap_tolerance(inst) == pytest.approx(1e-6 * math.pi * 9.0, rel=1e-12)
 
 
 def test_single_circle_solves_exactly():
@@ -117,7 +117,7 @@ def test_best_layout_is_centered_and_consistent():
     assert result.feasible
     pos = result.best_positions
     assert cg_violation(pos, inst.masses) <= 1e-9
-    assert total_overlap(pos, inst.radii) <= hp.resolved_overlap_tol(inst)
+    assert total_overlap(pos, inst.radii) <= overlap_tolerance(inst)
     assert enclosing_radius(pos, inst.radii) == pytest.approx(result.best_radius, abs=1e-9)
     assert result.best_radius >= math.sqrt(float(np.sum(inst.radii ** 2)))
 
