@@ -13,11 +13,11 @@ import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import IO, Optional, Sequence
 
 from .corpus import CORPUS
-from .model import Hyperparameters, ProblemInstance
+from .model import Hyperparameters, InvalidInputError, ProblemInstance
 from .solver import MILESTONE_THRESHOLDS, convergence_milestones, solve
 
 ROBUSTNESS_THRESHOLDS = (0.10, 0.05, 0.01, 0.005)
@@ -62,8 +62,13 @@ def run_bench(
     shares an embedded name included).
 
     Tasks are dispatched to a process pool when jobs > 1; summaries come
-    back in (instance, seed) order either way.
+    back in (instance, seed) order either way. Instances that share a name
+    raise InvalidInputError before any run, since the report keys by name.
     """
+    names = [inst.name for inst in instances]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise InvalidInputError(f"instance names must be distinct in one bench, repeated: {', '.join(repeated)}")
     task_instances = [inst for inst in instances for _ in range(reps)]
     task_hps = [replace(hp, seed=seed) for _ in instances for seed in range(reps)]
     if jobs > 1 and len(task_hps) > 1:
@@ -73,8 +78,8 @@ def run_bench(
         summaries = list(map(run_single, task_instances, task_hps))
 
     report: dict = {"repetitions": reps, "hyperparameters": hp.tunables(), "instances": {}}
-    for inst in instances:
-        rows = [s for s in summaries if s.instance == inst.name]
+    for k, inst in enumerate(instances):
+        rows = summaries[k * reps : (k + 1) * reps]
         feasible = [s for s in rows if s.feasible]
         radii = [s.best_radius for s in feasible]
         entry: dict = {
@@ -85,17 +90,8 @@ def run_bench(
             "median_radius": statistics.median(radii) if radii else None,
             "robustness": None,
             "milestone_mean_iterations": None,
-            "runs": [
-                {
-                    "seed": s.seed,
-                    "feasible": s.feasible,
-                    "best_radius": s.best_radius,
-                    "best_iteration": s.best_iteration,
-                    "milestones": s.milestones,
-                    "wall_time": s.wall_time,
-                }
-                for s in rows
-            ],
+            # Each run is its RunSummary but the instance, which keys this entry.
+            "runs": [{key: value for key, value in asdict(s).items() if key != "instance"} for s in rows],
         }
         if radii:
             best = min(radii)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from .bench import format_report_json, run_bench, write_runs_csv
@@ -36,29 +37,22 @@ SUITE_ITERATIONS = {"suite1": 20000, "suite2": 15000}
 
 
 def _add_hp_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--iters", type=int, default=None, help="iteration budget (n_it)")
-    parser.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-    parser.add_argument("--fmax", type=float, default=None, help="resultant force cap")
-    parser.add_argument("--vmax", type=float, default=None, help="speed cap / push magnitude")
-    parser.add_argument("--alpha", type=float, default=None, help="gravity-center pull weight")
-    parser.add_argument("--smax", type=float, default=None, help="largest container shrink step")
-    parser.add_argument("--smin", type=float, default=None, help="smallest container shrink step")
-    parser.add_argument("--c", type=float, default=None, help="shrink-step decay rate")
-    parser.add_argument("--dt", type=float, default=None, help="integration time step")
+    # Each flag stores under its Hyperparameters field; one left unset keeps the library default.
+    parser.add_argument("--iters", dest="n_it", type=int, help="iteration budget (n_it)")
+    parser.add_argument("--seed", type=int, help="run seed (default 0)")
+    parser.add_argument("--fmax", dest="f_max", type=float, help="resultant force cap")
+    parser.add_argument("--vmax", dest="v_max", type=float, help="speed cap / push magnitude")
+    parser.add_argument("--alpha", type=float, help="gravity-center pull weight")
+    parser.add_argument("--smax", dest="s_max", type=float, help="largest container shrink step")
+    parser.add_argument("--smin", dest="s_min", type=float, help="smallest container shrink step")
+    parser.add_argument("--c", type=float, help="shrink-step decay rate")
+    parser.add_argument("--dt", type=float, help="integration time step")
 
 
-def _hyperparameters(args, default_iters: int = 20000) -> Hyperparameters:
-    overrides = {
-        "f_max": args.fmax,
-        "v_max": args.vmax,
-        "alpha": args.alpha,
-        "s_max": args.smax,
-        "s_min": args.smin,
-        "c": args.c,
-        "dt": args.dt,
-    }
-    given = {key: value for key, value in overrides.items() if value is not None}
-    return Hyperparameters(seed=args.seed, n_it=args.iters if args.iters is not None else default_iters, **given)
+def _hyperparameters(args, **defaults) -> Hyperparameters:
+    """Hyperparameters from every flag that was set, over ``defaults`` and then the library's."""
+    given = {f.name: getattr(args, f.name) for f in fields(Hyperparameters) if getattr(args, f.name) is not None}
+    return Hyperparameters(**{**defaults, **given})
 
 
 def _resolve_instance(token: str) -> ProblemInstance:
@@ -118,7 +112,7 @@ def _cmd_bench(args) -> int:
         raise ParseError(f"--reps must be at least 1, got {args.reps}")
     if args.jobs < 1:
         raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
-    hp = _hyperparameters(args, default_iters=default_iters)
+    hp = _hyperparameters(args, n_it=default_iters)
 
     summaries, report = run_bench(instances, args.reps, hp, jobs=args.jobs)
 
@@ -129,7 +123,7 @@ def _cmd_bench(args) -> int:
             continue
         any_feasible = True
         reference = entry["reference_radius"]
-        gap = "" if reference is None else f"  (+{(entry['best_radius'] / reference - 1) * 100:.2f}% vs {reference})"
+        gap = "" if reference is None else f"  ({(entry['best_radius'] / reference - 1) * 100:+.2f}% vs {reference})"
         print(
             f"{name}: best {entry['best_radius']:.4f}  median {entry['median_radius']:.4f}  "
             f"feasible {entry['feasible_runs']}/{args.reps}{gap}"

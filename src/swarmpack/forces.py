@@ -84,7 +84,7 @@ def assemble_forces(
         # np.add.at applies the rows in array order, i.e. ascending (i, j).
         np.add.at(total, src, push)
 
-    total += _cg_force_all(p, cg, instance.masses, hp)
+    total -= hp.alpha * _cg_gradient_all(cg, instance.masses)
     total += _radius_force_all(p, v, r, target_radius, hp)
 
     norms = np.sqrt(total[:, 0] ** 2 + total[:, 1] ** 2)
@@ -95,18 +95,11 @@ def assemble_forces(
 
 
 def _cg_gradient_all(cg, masses):
-    # cg_gradient for every circle at once, as (N, 2); None where it is zero.
+    # cg_gradient for every circle at once, as (N, 2); zeros inside the EPSILON ball.
     norm = cg_offset(cg)
     if norm < EPSILON:
-        return None
+        return np.zeros((masses.shape[0], 2))
     return (masses / masses.sum())[:, None] * (cg / norm)[None, :]
-
-
-def _cg_force_all(p, cg, masses, hp):
-    grad = _cg_gradient_all(cg, masses)
-    if grad is None:
-        return np.zeros_like(p)
-    return -hp.alpha * grad
 
 
 def _radius_force_all(p, v, r, target_radius, hp):
@@ -126,5 +119,4 @@ def cg_gradient(i: int, positions, masses) -> np.ndarray:
     as zero (the distance has no derivative at its cone point).
     """
     m = np.asarray(masses, dtype=float)
-    grad = _cg_gradient_all(center_of_gravity(positions, m), m)
-    return np.zeros(2) if grad is None else grad[i]
+    return _cg_gradient_all(center_of_gravity(positions, m), m)[i]

@@ -16,7 +16,7 @@ import math
 from typing import IO
 
 from .forces import EPSILON
-from .model import InvalidInputError, ProblemInstance, SolveResult, finite_number
+from .model import History, InvalidInputError, ProblemInstance, SolveResult, finite_number
 from .solver import convergence_milestones, overlap_tolerance
 
 
@@ -207,31 +207,22 @@ def parse_result_dict(text: str) -> dict:
     return data
 
 
-TRACE_COLUMNS = ("iteration", "target_radius", "actual_radius", "overlap", "cg_violation", "feasible")
+TRACE_COLUMNS = ("iteration", *History._fields, "feasible")
+_ACTUAL_CELL = History._fields.index("actual_radius")
 
 
 class TraceCsvWriter:
     """Writes a run's history to CSV, one call and one row per iteration.
 
-    A row is the History columns at that iteration, as Python floats; an
-    infeasible row (NaN ``actual_radius``) leaves that cell empty.
+    A row is the iteration and its History values as Python floats, in
+    field order; a NaN value (``actual_radius`` on an infeasible row) leaves
+    its cell empty, and ``feasible`` says whether ``actual_radius`` is set.
     """
 
     def __init__(self, fh: IO[str]):
         self._writer = csv.writer(fh, lineterminator="\n")
         self._writer.writerow(TRACE_COLUMNS)
 
-    def __call__(
-        self, iteration: int, target_radius: float, actual_radius: float, overlap: float, cg_violation: float
-    ) -> None:
-        feasible = not math.isnan(actual_radius)
-        self._writer.writerow(
-            (
-                iteration,
-                repr(target_radius),
-                repr(actual_radius) if feasible else "",
-                repr(overlap),
-                repr(cg_violation),
-                "true" if feasible else "false",
-            )
-        )
+    def __call__(self, iteration: int, *values: float) -> None:
+        cells = ["" if math.isnan(value) else repr(value) for value in values]
+        self._writer.writerow((iteration, *cells, "true" if cells[_ACTUAL_CELL] else "false"))

@@ -71,7 +71,7 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
     hp = hp if hp is not None else Hyperparameters()
 
     try:
-        history = History(*np.full((4, hp.n_it), np.nan))
+        history = History(*np.full((len(History._fields), hp.n_it), np.nan))
     except (ValueError, MemoryError):
         raise InvalidInputError(f"n_it ({hp.n_it}) is too large to hold the history of every iteration") from None
     positions, velocities, schedule = initial_state(instance, hp)

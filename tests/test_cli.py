@@ -6,12 +6,12 @@ from xml.dom import minidom
 
 import pytest
 
-from swarmpack import cli
+from swarmpack import bench, cli
 from swarmpack.bench import format_report_json, run_bench
 from swarmpack.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from swarmpack.corpus import CORPUS
 from swarmpack.instance_io import format_instance
-from swarmpack.model import Hyperparameters, ProblemInstance
+from swarmpack.model import Hyperparameters, InvalidInputError, ProblemInstance
 
 
 def run(*argv):
@@ -96,6 +96,22 @@ def test_bench_budget_defaults_to_the_suite_of_the_instance(monkeypatch, capsys)
         assert run("bench", selector, "--reps", "1") == EXIT_INFEASIBLE
     assert budgets == [20000, 15000, 20000, 15000]
     capsys.readouterr()
+
+
+def test_bench_gap_is_signed(monkeypatch, capsys):
+    # 59.80 beats I1's published 59.85; 62.8425 is 5% above it.
+    def two_entries(instances, reps, hp, jobs=1):
+        entries = {
+            name: {"best_radius": best, "median_radius": best, "feasible_runs": 1, "reference_radius": 59.85}
+            for name, best in (("below", 59.80), ("above", 62.8425))
+        }
+        return [], {"instances": entries}
+
+    monkeypatch.setattr(cli, "run_bench", two_entries)
+    assert run("bench", "I1", "--reps", "1") == EXIT_OK
+    below, above = capsys.readouterr().out.splitlines()
+    assert below.endswith("  (-0.08% vs 59.85)")
+    assert above.endswith("  (+5.00% vs 59.85)")
 
 
 def test_solve_reports_infeasible_runs(tmp_path, capsys):
@@ -221,6 +237,37 @@ def test_bench_writes_report_and_runs(tmp_path, capsys):
     assert len(rows) == 3
     assert rows[0][0] == "instance"
     assert {row[1] for row in rows[1:]} == {"0", "1"}
+
+
+def test_runs_csv_agrees_with_the_report_run_by_run(tmp_path, capsys):
+    out_dir = tmp_path / "bench"
+    assert run("bench", "I1", "--reps", "2", "--iters", "400", "--out-dir", str(out_dir)) == EXIT_OK
+    capsys.readouterr()
+    runs = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))["instances"]["I1"]["runs"]
+    with open(out_dir / "runs.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(runs) == 2
+    for row, entry in zip(rows, runs):
+        assert row["instance"] == "I1"
+        assert row["seed"] == str(entry["seed"])
+        assert row["feasible"] == "true" and entry["feasible"] is True
+        assert row["best_radius"] == repr(entry["best_radius"])
+        assert row["best_iteration"] == str(entry["best_iteration"])
+        assert [row[f"milestone_{key}"] for key in entry["milestones"]] == [
+            str(value) for value in entry["milestones"].values()
+        ]
+
+
+def test_run_bench_rejects_repeated_names(monkeypatch):
+    solves = []
+    monkeypatch.setattr(bench, "solve", lambda *args: solves.append(args))
+    twins = [
+        ProblemInstance("dup", radii=[1.0, 2.0], masses=[1.0, 1.0]),
+        ProblemInstance("dup", radii=[1.0, 2.0, 3.0], masses=[1.0, 1.0, 1.0]),
+    ]
+    with pytest.raises(InvalidInputError, match="repeated: dup"):
+        run_bench(twins, 2, Hyperparameters(n_it=50))
+    assert solves == []
 
 
 def test_bench_report_is_seed_deterministic(tmp_path):
