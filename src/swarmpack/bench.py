@@ -1,19 +1,19 @@
 """Repeated-seed benchmark harness with milestone and robustness statistics.
 
-Runs one instance (or a whole suite) over seeds 0..reps-1, then aggregates:
-best/median radius, how many runs landed within 10/5/1/0.5 percent of the
-best run, and the mean iteration at which each convergence milestone fell.
+Runs one instance (or a whole suite) over seeds S..S+reps-1, S being the
+hyperparameters' seed, then aggregates: best/median radius, how many runs
+landed within 10/5/1/0.5 percent of the best run, and the mean iteration at
+which each convergence milestone fell.
 Everything except wall times is deterministic in (instances, reps, hp).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import IO, Optional, Sequence
 
 from .corpus import CORPUS
@@ -70,9 +70,10 @@ def run_bench(
     if repeated:
         raise InvalidInputError(f"instance names must be distinct in one bench, repeated: {', '.join(repeated)}")
     task_instances = [inst for inst in instances for _ in range(reps)]
-    task_hps = [replace(hp, seed=seed) for _ in instances for seed in range(reps)]
+    task_hps = [replace(hp, seed=hp.seed + k) for _ in instances for k in range(reps)]
     if jobs > 1 and len(task_hps) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts all max_workers at the first submit: no more than there are runs.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(task_hps))) as pool:
             summaries = list(pool.map(run_single, task_instances, task_hps))
     else:
         summaries = list(map(run_single, task_instances, task_hps))
@@ -106,33 +107,26 @@ def run_bench(
     return summaries, report
 
 
-def format_report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _spread(name: str, value) -> dict:
+    # A runs.csv column per RunSummary field; milestones takes one per threshold.
+    if name != "milestones":
+        return {name: value}
+    return {f"milestone_{p}": None if value is None else value[str(p)] for p in MILESTONE_THRESHOLDS}
 
 
-CSV_COLUMNS = (
-    "instance",
-    "seed",
-    "feasible",
-    "best_radius",
-    "best_iteration",
-    *(f"milestone_{p}" for p in MILESTONE_THRESHOLDS),
-    "wall_time",
-)
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
 
 
 def write_runs_csv(fh: IO[str], summaries: Sequence[RunSummary]) -> None:
+    """A header and one row per summary, in field order: None empty, bools true/false, numbers repr."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(column for f in fields(RunSummary) for column in _spread(f.name, None))
     for s in summaries:
         writer.writerow(
-            (
-                s.instance,
-                s.seed,
-                "true" if s.feasible else "false",
-                "" if s.best_radius is None else repr(s.best_radius),
-                "" if s.best_iteration is None else s.best_iteration,
-                *(s.milestones.values() if s.milestones else [""] * len(MILESTONE_THRESHOLDS)),
-                f"{s.wall_time:.3f}",
-            )
+            _csv_cell(value) for f in fields(RunSummary) for value in _spread(f.name, getattr(s, f.name)).values()
         )

@@ -13,15 +13,16 @@ import sys
 from dataclasses import fields
 from typing import Optional
 
-from .bench import format_report_json, run_bench, write_runs_csv
+from .bench import run_bench, write_runs_csv
 from .corpus import CORPUS, UnknownInstanceError
 from .instance_io import (
     ParseError,
     TraceCsvWriter,
     format_instance,
+    format_json,
     format_result_json,
     load_instance,
-    parse_result_dict,
+    parse_result,
     read_text,
 )
 from .model import Hyperparameters, InvalidInputError, ProblemInstance
@@ -134,7 +135,7 @@ def _cmd_bench(args) -> int:
         report_path = os.path.join(args.out_dir, "report.json")
         csv_path = os.path.join(args.out_dir, "runs.csv")
         with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(format_report_json(report))
+            fh.write(format_json(report))
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             write_runs_csv(fh, summaries)
         print(f"wrote {report_path} and {csv_path}")
@@ -143,17 +144,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    data = parse_result_dict(read_text(args.result))
-    if not data["feasible"]:
+    layout = parse_result(read_text(args.result))
+    if layout is None:
         print(f"{args.result}: result is infeasible, nothing to render", file=sys.stderr)
         return EXIT_INFEASIBLE
-    payload = render_svg(
-        data["instance"],
-        data["positions"],
-        data["radii"],
-        data["masses"],
-        data["best_radius"],
-    )
+    payload = render_svg(*layout)
     with open(args.svg, "wb") as fh:
         fh.write(payload)
     print(f"wrote {args.svg}")
@@ -189,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="repeated-seed benchmark over a suite or instance")
     p_bench.add_argument("selector", help="suite1, suite2, an embedded name, or a file path; a file wins over a name")
-    p_bench.add_argument("--reps", type=int, required=True, help="repetitions (seeds 0..K-1)")
-    p_bench.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_bench.add_argument("--reps", type=int, required=True, help="repetitions (seeds S..S+K-1 from --seed S)")
+    p_bench.add_argument("--jobs", type=int, default=1, help="parallel worker processes (at most one per run)")
     _add_hp_flags(p_bench)
     p_bench.add_argument("--out-dir", default=None, help="directory for report.json and runs.csv")
     p_bench.set_defaults(func=_cmd_bench)

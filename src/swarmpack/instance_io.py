@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import IO
+from typing import IO, Optional
+
+import numpy as np
 
 from .forces import EPSILON
 from .model import History, InvalidInputError, ProblemInstance, SolveResult, finite_number
@@ -41,13 +43,6 @@ def _parse_number(token: str, what: str, line_no: int) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise ParseError(f"line {line_no}: {what} must be positive and finite, got {token}")
     return value
-
-
-def _checked_instance(name, radii, masses) -> ProblemInstance:
-    try:
-        return ProblemInstance(name=name, radii=radii, masses=masses)
-    except InvalidInputError as exc:
-        raise ParseError(str(exc)) from None
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -107,6 +102,20 @@ def _parse_json(text: str):
         raise ParseError("invalid JSON: nested too deeply") from None
 
 
+def _circles_instance(name_key: str, name, radii: list, masses: list) -> ProblemInstance:
+    """The instance a document spells out; ``name_key`` labels a name that is not a string."""
+    if not isinstance(name, str):
+        raise ParseError(f"{name_key} must be a string, got {name!r}")
+    for pos, circle in enumerate(zip(radii, masses)):
+        for key, value in zip(("radius", "mass"), circle):
+            if finite_number(value) is None:
+                raise ParseError(f"circle {pos}: {key} must be a finite number, got {value!r}")
+    try:
+        return ProblemInstance(name=name, radii=radii, masses=masses)
+    except InvalidInputError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def parse_instance_json(text: str) -> ProblemInstance:
     data = _parse_json(text)
     if not isinstance(data, dict) or "name" not in data or "circles" not in data:
@@ -114,20 +123,12 @@ def parse_instance_json(text: str) -> ProblemInstance:
     circles = data["circles"]
     if not isinstance(circles, list) or not circles:
         raise ParseError("'circles' must be a non-empty list")
-    radii = []
-    masses = []
     for pos, entry in enumerate(circles):
         if not isinstance(entry, dict) or "radius" not in entry or "mass" not in entry:
             raise ParseError(f"circle {pos}: expected an object with 'radius' and 'mass'")
-        for key, values in (("radius", radii), ("mass", masses)):
-            value = finite_number(entry[key])
-            if value is None:
-                raise ParseError(f"circle {pos}: {key} must be a finite number, got {entry[key]!r}")
-            values.append(value)
-    name = data["name"]
-    if not isinstance(name, str):
-        raise ParseError(f"'name' must be a string, got {name!r}")
-    return _checked_instance(name, radii, masses)
+    radii = [entry["radius"] for entry in circles]
+    masses = [entry["mass"] for entry in circles]
+    return _circles_instance("'name'", data["name"], radii, masses)
 
 
 def read_text(path: str) -> str:
@@ -164,17 +165,24 @@ def result_to_dict(result: SolveResult) -> dict:
     }
 
 
+def format_json(document) -> str:
+    """The JSON dialect of every file swarmpack writes: sorted keys, indent 2, final newline."""
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
 def format_result_json(result: SolveResult) -> str:
-    return json.dumps(result_to_dict(result), sort_keys=True, indent=2) + "\n"
+    return format_json(result_to_dict(result))
 
 
-def parse_result_dict(text: str) -> dict:
-    """Light validation of a result JSON document, for re-rendering.
+def parse_result(text: str) -> Optional[tuple[ProblemInstance, np.ndarray, float]]:
+    """The layout a result JSON document records, for re-rendering.
 
-    ``instance`` must be a string and ``feasible`` a JSON bool. A feasible
-    result must carry a positive finite ``best_radius``, two finite numbers
-    per position, and circles and a name that make a valid ProblemInstance;
-    whether the layout is a valid packing is not checked.
+    Returns ``(instance, positions, best_radius)``, positions as an (N, 2)
+    float array, or None for an infeasible result. Every result must name
+    circles that make a valid ProblemInstance and give ``feasible`` as a JSON
+    bool. A feasible result must also carry a positive finite
+    ``best_radius`` and two finite numbers per position; whether the layout
+    is a valid packing is not checked.
     """
     data = _parse_json(text)
     if not isinstance(data, dict):
@@ -186,25 +194,21 @@ def parse_result_dict(text: str) -> dict:
     masses = data["masses"]
     if not isinstance(radii, list) or not isinstance(masses, list) or len(radii) != len(masses):
         raise ParseError("radii and masses must be lists of equal length")
-    if not isinstance(data["instance"], str):
-        raise ParseError(f"instance must be a string, got {data['instance']!r}")
+    instance = _circles_instance("instance", data["instance"], radii, masses)
     if not isinstance(data["feasible"], bool):
         raise ParseError(f"feasible must be true or false, got {data['feasible']!r}")
-    if data["feasible"]:
-        best = finite_number(data["best_radius"])
-        if best is None or best <= 0.0:
-            raise ParseError(f"best_radius must be a positive finite number, got {data['best_radius']!r}")
-        positions = data["positions"]
-        if not isinstance(positions, list) or len(positions) != len(radii):
-            raise ParseError("positions must list one [x, y] per circle")
-        for k, point in enumerate(positions):
-            if not (isinstance(point, list) and len(point) == 2 and all(finite_number(x) is not None for x in point)):
-                raise ParseError(f"position {k} must be two finite numbers, got {point!r}")
-        for k, (radius, mass) in enumerate(zip(radii, masses)):
-            if finite_number(radius) is None or finite_number(mass) is None:
-                raise ParseError(f"circle {k}: radius and mass must be finite numbers, got {radius!r} and {mass!r}")
-        _checked_instance(data["instance"], radii, masses)
-    return data
+    if not data["feasible"]:
+        return None
+    best = finite_number(data["best_radius"])
+    if best is None or best <= 0.0:
+        raise ParseError(f"best_radius must be a positive finite number, got {data['best_radius']!r}")
+    positions = data["positions"]
+    if not isinstance(positions, list) or len(positions) != len(radii):
+        raise ParseError("positions must list one [x, y] per circle")
+    for k, point in enumerate(positions):
+        if not (isinstance(point, list) and len(point) == 2 and all(finite_number(x) is not None for x in point)):
+            raise ParseError(f"position {k} must be two finite numbers, got {point!r}")
+    return instance, np.array(positions, dtype=float), best
 
 
 TRACE_COLUMNS = ("iteration", *History._fields, "feasible")

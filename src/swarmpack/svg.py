@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SolveResult
+from .model import ProblemInstance, SolveResult
 
 
 class ExportError(RuntimeError):
@@ -26,38 +26,30 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_svg(name, positions, radii, masses, container_radius) -> bytes:
-    """Layout as standalone SVG bytes: dashed container, mass ramp, CG cross."""
-    p = np.asarray(positions, dtype=float)
-    r = np.asarray(radii, dtype=float)
-    m = np.asarray(masses, dtype=float)
+def render_svg(instance: ProblemInstance, positions, container_radius: float) -> bytes:
+    """Layout as standalone SVG bytes: dashed container, mass ramp, CG cross; numbers are float reprs."""
     big = float(container_radius)
     view = big * 1.06
     stroke = big * 0.004
     cross = big * 0.04
+    masses = instance.masses.tolist()
+    m_lo, m_hi = min(masses), max(masses)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{-view:.4f} {-view:.4f} {2*view:.4f} {2*view:.4f}">',
-        f"<title>{_escape(name)}</title>",
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{-view!r} {-view!r} {2 * view!r} {2 * view!r}">',
+        f"<title>{_escape(instance.name)}</title>",
         f'<circle cx="0" cy="0" r="{big!r}" fill="none" stroke="black" '
-        f'stroke-width="{stroke:.4f}" stroke-dasharray="{4*stroke:.4f} {3*stroke:.4f}"/>',
+        f'stroke-width="{stroke!r}" stroke-dasharray="{4 * stroke!r} {3 * stroke!r}"/>',
     ]
-    m_lo, m_hi = float(np.min(m)), float(np.max(m))
-    for k in range(p.shape[0]):
+    for (x, y), radius, mass in zip(np.asarray(positions, dtype=float).tolist(), instance.radii.tolist(), masses):
         parts.append(
-            f'<circle cx="{p[k, 0]!r}" cy="{p[k, 1]!r}" r="{r[k]!r}" '
-            f'fill="{_ramp_color(float(m[k]), m_lo, m_hi)}" '
-            f'stroke="#444" stroke-width="{stroke:.4f}"/>'
+            f'<circle cx="{x!r}" cy="{y!r}" r="{radius!r}" '
+            f'fill="{_ramp_color(mass, m_lo, m_hi)}" '
+            f'stroke="#444" stroke-width="{stroke!r}"/>'
         )
     # Gravity-center cross at the origin.
-    parts.append(
-        f'<line x1="{-cross:.4f}" y1="0" x2="{cross:.4f}" y2="0" '
-        f'stroke="blue" stroke-width="{stroke * 1.5:.4f}"/>'
-    )
-    parts.append(
-        f'<line x1="0" y1="{-cross:.4f}" x2="0" y2="{cross:.4f}" '
-        f'stroke="blue" stroke-width="{stroke * 1.5:.4f}"/>'
-    )
+    parts.append(f'<line x1="{-cross!r}" y1="0" x2="{cross!r}" y2="0" stroke="blue" stroke-width="{stroke * 1.5!r}"/>')
+    parts.append(f'<line x1="0" y1="{-cross!r}" x2="0" y2="{cross!r}" stroke="blue" stroke-width="{stroke * 1.5!r}"/>')
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 
@@ -66,10 +58,4 @@ def export_svg(result: SolveResult) -> bytes:
     """Render a solve result; the layout is already centered on its CG."""
     if not result.feasible or result.best_positions is None:
         raise ExportError(f"run on {result.instance.name!r} has no feasible layout to render")
-    return render_svg(
-        result.instance.name,
-        result.best_positions,
-        result.instance.radii,
-        result.instance.masses,
-        result.best_radius,
-    )
+    return render_svg(result.instance, result.best_positions, result.best_radius)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 from dataclasses import fields, replace
 from xml.dom import minidom
@@ -7,11 +8,12 @@ from xml.dom import minidom
 import pytest
 
 from swarmpack import bench, cli
-from swarmpack.bench import format_report_json, run_bench
+from swarmpack.bench import run_bench
 from swarmpack.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from swarmpack.corpus import CORPUS
-from swarmpack.instance_io import format_instance
+from swarmpack.instance_io import format_instance, format_json
 from swarmpack.model import Hyperparameters, InvalidInputError, ProblemInstance
+from swarmpack.solver import MILESTONE_THRESHOLDS
 
 
 def run(*argv):
@@ -258,6 +260,51 @@ def test_runs_csv_agrees_with_the_report_run_by_run(tmp_path, capsys):
         ]
 
 
+def test_bench_seed_offsets_the_repetitions(tmp_path, capsys):
+    out_dir = tmp_path / "bench"
+    assert run("bench", "I1", "--reps", "2", "--iters", "300", "--seed", "5", "--out-dir", str(out_dir)) == EXIT_OK
+    capsys.readouterr()
+    runs = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))["instances"]["I1"]["runs"]
+    assert [entry["seed"] for entry in runs] == [5, 6]
+    with open(out_dir / "runs.csv", encoding="utf-8") as fh:
+        assert [row["seed"] for row in csv.DictReader(fh)] == ["5", "6"]
+
+
+def test_runs_csv_columns_follow_run_summary():
+    # A threshold a run never reached (possible against a foreign radius) is None.
+    milestones = {**dict.fromkeys(map(str, MILESTONE_THRESHOLDS)), "0.1": 10}
+    summary = bench.RunSummary("I1", 3, True, 61.5, 900, milestones, 0.25)
+    buffer = io.StringIO()
+    bench.write_runs_csv(buffer, [summary])
+    header, row = buffer.getvalue().splitlines()
+    spread = [f"milestone_{p}" for p in MILESTONE_THRESHOLDS]
+    assert header.split(",") == ["instance", "seed", "feasible", "best_radius", "best_iteration", *spread, "wall_time"]
+    assert row.split(",")[:7] == ["I1", "3", "true", "61.5", "900", "10", ""]
+    assert row.split(",")[-1] == "0.25"
+
+
+def test_bench_starts_no_more_workers_than_runs(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+    summaries, _ = run_bench([CORPUS.get("I1")], 2, Hyperparameters(n_it=50), jobs=64)
+    assert started == [2]
+    assert [s.seed for s in summaries] == [0, 1]
+
+
 def test_run_bench_rejects_repeated_names(monkeypatch):
     solves = []
     monkeypatch.setattr(bench, "solve", lambda *args: solves.append(args))
@@ -291,7 +338,7 @@ def test_bench_jobs_match_the_serial_run():
         for entry in report["instances"].values():
             for row in entry["runs"]:
                 row["wall_time"] = 0.0
-        outputs.append(([replace(s, wall_time=0.0) for s in summaries], format_report_json(report)))
+        outputs.append(([replace(s, wall_time=0.0) for s in summaries], format_json(report)))
     assert outputs[0] == outputs[1]
 
 

@@ -2,6 +2,7 @@ import io
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from swarmpack.corpus import CORPUS
@@ -14,7 +15,7 @@ from swarmpack.instance_io import (
     load_instance,
     parse_instance,
     parse_instance_json,
-    parse_result_dict,
+    parse_result,
     result_to_dict,
 )
 from swarmpack.model import Hyperparameters, ProblemInstance
@@ -143,8 +144,12 @@ def test_result_dict_carries_the_run():
     assert data["hyperparameters"]["overlap_tol"] == overlap_tolerance(result.instance)
     assert len(data["positions"]) == 3
     assert set(data["milestones"]) == {"0.1", "0.05", "0.01", "0.005", "0.001"}
-    # The document is valid input for the render path.
-    parse_result_dict(format_result_json(result))
+    # The document reads back as the layout the render path takes.
+    instance, positions, best_radius = parse_result(format_result_json(result))
+    assert instance == result.instance
+    assert positions.shape == (3, 2) and positions.dtype == float
+    assert np.array_equal(positions, result.best_positions)
+    assert best_radius == result.best_radius
 
 
 def test_result_json_is_deterministic():
@@ -158,8 +163,7 @@ def test_infeasible_result_serializes_with_nulls():
     assert data["best_radius"] is None
     assert data["positions"] is None
     assert data["milestones"] is None
-    parsed = parse_result_dict(format_result_json(result))
-    assert parsed["feasible"] is False
+    assert parse_result(format_result_json(result)) is None
 
 
 @pytest.mark.parametrize(
@@ -178,20 +182,22 @@ def test_infeasible_result_serializes_with_nulls():
         lambda d: d.update(feasible=1),
         lambda d: d.update(feasible=None),
         lambda d: d.update(instance={"k": [1]}),
+        # An infeasible result still names a valid instance.
+        lambda d: d.update(feasible=False, radii=[1.0, -1.3, 0.8]),
     ],
 )
 def test_result_parse_rejects_broken_documents(mangle):
     data = result_to_dict(tiny_result())
     mangle(data)
     with pytest.raises(ParseError):
-        parse_result_dict(json.dumps(data))
+        parse_result(json.dumps(data))
 
 
 def test_result_parse_rejects_non_objects():
     with pytest.raises(ParseError):
-        parse_result_dict("[1, 2]")
+        parse_result("[1, 2]")
     with pytest.raises(ParseError):
-        parse_result_dict("{broken")
+        parse_result("{broken")
 
 
 # ------------------------------------------------------------------ trace csv
@@ -227,7 +233,8 @@ def test_trace_csv_streams_one_row_per_iteration():
 # ------------------------------------------------------------------------ svg
 
 def test_render_svg_is_well_formed_and_complete():
-    payload = render_svg("demo", [[0.0, 0.0], [1.5, 0.0]], [1.0, 0.5], [1.0, 9.0], 2.0)
+    demo = ProblemInstance("demo", radii=[1.0, 0.5], masses=[1.0, 9.0])
+    payload = render_svg(demo, [[0.0, 0.0], [1.5, 0.0]], 2.0)
     root = ET.fromstring(payload.decode("utf-8"))
     assert root.tag.endswith("svg")
     circles = [el for el in root.iter() if el.tag.endswith("circle")]
@@ -242,8 +249,26 @@ def test_render_svg_is_well_formed_and_complete():
 
 
 def test_uniform_masses_render_saturated():
-    payload = render_svg("flat", [[0.0, 0.0]], [1.0], [5.0], 1.0).decode("utf-8")
+    flat = ProblemInstance("flat", radii=[1.0], masses=[5.0])
+    payload = render_svg(flat, [[0.0, 0.0]], 1.0).decode("utf-8")
     assert "rgb(255,0,0)" in payload
+
+
+def test_svg_numbers_are_the_layout_floats():
+    result = tiny_result()
+    root = ET.fromstring(export_svg(result).decode("utf-8"))
+    container, *circles = [el for el in root.iter() if el.tag.endswith("circle")]
+    assert float(container.get("r")) == result.best_radius
+    drawn = [[float(el.get(key)) for key in ("cx", "cy", "r")] for el in circles]
+    expected = [[x, y, r] for (x, y), r in zip(result.best_positions.tolist(), result.instance.radii.tolist())]
+    assert drawn == expected
+
+
+def test_svg_keeps_a_tiny_container_visible():
+    tiny = ProblemInstance("tiny", radii=[1e-5], masses=[1.0])
+    root = ET.fromstring(render_svg(tiny, [[0.0, 0.0]], 2e-5).decode("utf-8"))
+    assert float(root.get("viewBox").split()[2]) == pytest.approx(4.24e-5)
+    assert all(float(el.get("stroke-width")) > 0.0 for el in root.iter() if el.get("stroke-width"))
 
 
 def test_export_svg_requires_a_feasible_result():
