@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import row_norms
 from .model import Hyperparameters, InvalidInputError
 
 
@@ -18,13 +19,16 @@ def integrate_step(
     left to clamp to and raises InvalidInputError. ``masses`` is the
     instance's positive float array.
     """
-    acc = np.asarray(forces, dtype=float) / masses[:, None]
-    vel = velocities + acc * hp.dt
-    speed = np.sqrt(vel[:, 0] ** 2 + vel[:, 1] ** 2)
+    vel = np.asarray(forces, dtype=float) / masses[:, None]
+    vel *= hp.dt
+    vel += velocities
+    speed = row_norms(vel)
     top = speed.max()
     if top > hp.v_max:
         if top == np.inf:
             raise InvalidInputError("speed overflowed to inf; check the dt, f_max and v_max scales")
         over = speed > hp.v_max
         vel[over] *= (hp.v_max / speed[over])[:, None]
-    return positions + vel * hp.dt, vel
+    step = vel * hp.dt
+    step += positions
+    return step, vel

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Contacts, center_of_gravity, cg_offset
+from .geometry import Contacts, center_of_gravity, cg_offset, row_norms
 from .model import Hyperparameters, ProblemInstance
 
 # A pair triggers the separation push when the centers are closer than the
@@ -33,26 +33,19 @@ EPSILON = 1e-9
 
 
 def find_overlap_pairs(radii, contacts: Contacts) -> np.ndarray:
-    """Directed overlapping pairs as an (E, 2) int array sorted by (i, j).
+    """Directed overlapping pairs as an (E, 2) int array of (source, partner) rows.
 
     A pair overlaps when its center distance is below the radius sum minus
     OVERLAP_TRIGGER_EPS; the candidates are ``contacts``, the layout's
-    ``contact_pairs`` result.
+    ``contact_pairs`` result, in (i, j) order. The (j, i) row of every
+    overlapping pair i < j comes first, in that order, then its (i, j) row,
+    in the same order. So each source's partners come in ascending order:
+    first those below it, then those above.
     """
     i, j, d = contacts
     hit = d < radii[i] + radii[j] - OVERLAP_TRIGGER_EPS
-    return _directed_sorted(i[hit], j[hit], radii.shape[0])
-
-
-def _directed_sorted(i, j, n):
-    # Both directions of each pair i < j, as the sorted unique keys src * n + dst.
-    key = np.concatenate((i * n + j, j * n + i))
-    key.sort()
-    src, dst = np.divmod(key, n)
-    pairs = np.empty((key.shape[0], 2), dtype=np.int64)
-    pairs[:, 0] = src
-    pairs[:, 1] = dst
-    return pairs
+    pairs = np.array((i[hit], j[hit])).T
+    return np.concatenate((pairs[:, ::-1], pairs))
 
 
 def assemble_forces(
@@ -71,44 +64,49 @@ def assemble_forces(
     container is centered on the origin.
     """
     p, v, r = positions, velocities, instance.radii
-    n = p.shape[0]
 
-    total = np.zeros((n, 2))
+    total = np.zeros(p.shape)
 
     pairs = find_overlap_pairs(r, contacts)
     if pairs.shape[0]:
-        src, dst = pairs[:, 0], pairs[:, 1]
-        delta = p[dst] - p[src]
-        dist = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
-        push = -(delta / (dist + EPSILON)[:, None]) * hp.v_max - v[src]
-        # np.add.at applies the rows in array order, i.e. ascending (i, j).
+        src = pairs[:, 0]
+        push = p[pairs[:, 1]] - p[src]
+        dist = row_norms(push)
+        dist += EPSILON
+        push /= dist[:, None]
+        push *= -hp.v_max
+        push -= v[src]
+        # np.add.at applies the rows in array order, which holds each
+        # source's partners in ascending order.
         np.add.at(total, src, push)
 
-    total -= hp.alpha * _cg_gradient_all(cg, instance.masses)
-    total += _radius_force_all(p, v, r, target_radius, hp)
+    toward = _unit_toward(cg)
+    if toward is not None:
+        total -= hp.alpha * (instance.mass_share * toward)
 
-    norms = np.sqrt(total[:, 0] ** 2 + total[:, 1] ** 2)
-    over = norms >= hp.f_max
-    if over.any():
+    # Containment: p / |p| points away from the origin, so the push toward
+    # it is that direction times -v_max.
+    dist = row_norms(p)
+    push = p / (dist + EPSILON)[:, None]
+    push *= -hp.v_max
+    push -= v
+    push[dist + r <= target_radius + CONTAINMENT_EPS] = 0.0
+    total += push
+
+    norms = row_norms(total)
+    # Written so that a NaN norm also takes the branch, which then scales
+    # exactly the rows at or above the cap.
+    if not norms.max() < hp.f_max:
+        over = norms >= hp.f_max
         total[over] *= (hp.f_max / norms[over])[:, None]
     return total
 
 
-def _cg_gradient_all(cg, masses):
-    # cg_gradient for every circle at once, as (N, 2); zeros inside the EPSILON ball.
+def _unit_toward(cg):
+    # The unit vector toward the gravity center, or None inside the EPSILON
+    # ball around the origin.
     norm = cg_offset(cg)
-    if norm < EPSILON:
-        return np.zeros((masses.shape[0], 2))
-    return (masses / masses.sum())[:, None] * (cg / norm)[None, :]
-
-
-def _radius_force_all(p, v, r, target_radius, hp):
-    delta = -p
-    dist = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
-    force = (delta / (dist + EPSILON)[:, None]) * hp.v_max - v
-    inside = dist + r <= target_radius + CONTAINMENT_EPS
-    force[inside] = 0.0
-    return force
+    return None if norm < EPSILON else cg / norm
 
 
 def cg_gradient(i: int, positions, masses) -> np.ndarray:
@@ -119,4 +117,5 @@ def cg_gradient(i: int, positions, masses) -> np.ndarray:
     as zero (the distance has no derivative at its cone point).
     """
     m = np.asarray(masses, dtype=float)
-    return _cg_gradient_all(center_of_gravity(positions, m), m)[i]
+    toward = _unit_toward(center_of_gravity(positions, m))
+    return np.zeros(2) if toward is None else (m[i] / m.sum()) * toward

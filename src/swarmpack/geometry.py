@@ -68,12 +68,21 @@ def lens_area_from_distance(d, r_a, r_b):
 
 
 def _partial_lens(d, r_a, r_b):
-    cos_a = np.maximum(np.minimum((d * d + r_a * r_a - r_b * r_b) / (2.0 * d * r_a), 1.0), -1.0)
-    cos_b = np.maximum(np.minimum((d * d + r_b * r_b - r_a * r_a) / (2.0 * d * r_b), 1.0), -1.0)
+    # Both disks' circular segments at once, as the rows of (2, E) arrays:
+    # row 0 holds disk a's terms, row 1 disk b's. Every element rounds as
+    # the one-disk formula r_a^2 arccos((d^2 + r_a^2 - r_b^2) / (2 d r_a))
+    # does, and d * d, 2 * d and d + r_a are each formed once.
+    r = np.array((r_a, r_b))
+    r_sq = r * r
+    cos = (d * d + r_sq - r_sq[::-1]) / ((2.0 * d) * r)
+    np.minimum(cos, 1.0, out=cos)
+    np.maximum(cos, -1.0, out=cos)
+    sector = r_sq * np.arccos(cos)
     # Heron-style product: the sqrt is four times the triangle area
     # spanned by the two centers and an intersection point.
-    tri = (r_a + r_b - d) * (d + r_a - r_b) * (d - r_a + r_b) * (d + r_a + r_b)
-    return r_a * r_a * np.arccos(cos_a) + r_b * r_b * np.arccos(cos_b) - 0.5 * np.sqrt(np.maximum(tri, 0.0))
+    d_a = d + r_a
+    tri = (r_a + r_b - d) * (d_a - r_b) * (d - r_a + r_b) * (d_a + r_b)
+    return sector[0] + sector[1] - 0.5 * np.sqrt(np.maximum(tri, 0.0))
 
 
 def lens_area(a: Disk, b: Disk) -> float:
@@ -113,9 +122,10 @@ class Contacts(NamedTuple):
 def contact_pairs(positions, radii) -> Contacts:
     """The stateless pair search of one layout.
 
-    Only pairs whose x coordinates lie within the widest reach are tested,
-    found by sorting on x and sweeping; the result is bitwise what testing
-    every pair gives, because a pair's distance is computed the same way.
+    Each circle is tested only against the circles whose x lies within its
+    own radius plus the largest radius, found by sorting on x and sweeping;
+    the result is bitwise what testing every pair gives, because a pair's
+    distance is computed the same way.
     ``solve`` gets the same arrays from a NeighbourList, which reruns this
     search only now and then.
     """
@@ -123,63 +133,72 @@ def contact_pairs(positions, radii) -> Contacts:
     return _sweep_contacts(p, _as_radii(radii, p))
 
 
-def _touching(p, r, iu, ju, skin=0.0) -> Contacts:
-    diff = p[ju] - p[iu]
-    d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
-    reach = r[iu] + r[ju]
-    hit = d < (reach + skin if skin else reach)
+def row_norms(vectors) -> np.ndarray:
+    """Euclidean length of every row of an (N, 2) array, as sqrt(x*x + y*y)."""
+    sq = vectors * vectors
+    return np.sqrt(sq[:, 0] + sq[:, 1])
+
+
+def _touching(p, iu, ju, reach) -> Contacts:
+    # The candidates i < j with d < reach, their radius sum (plus any skin).
+    d = row_norms(p[ju] - p[iu])
+    hit = d < reach
     return Contacts(iu[hit], ju[hit], d[hit])
 
 
 def _sweep_contacts(p, r, skin=0.0) -> Contacts:
     # Pairs with d < r_i + r_j + skin, sorted by (i, j). Sort and sweep:
-    # with the circles sorted by x, every partner a circle can touch lies in
-    # the run of later circles whose x is within reach = fl(2 r_max + skin).
-    # No rounding margin is needed. A pair that _touching keeps has fl(d) <
-    # fl(fl(r_i + r_j) + skin) <= reach, as rounding is monotone. And fl(d)
-    # >= |dx| for dx = fl(x_j - x_i), because fl(sqrt(fl(dx * dx))) == |dx|
-    # (barring underflow below 1e-154) and adding fl(dy * dy) >= 0 cannot
-    # lower the sum. So fl(x_j - x_i) < reach; by monotone rounding the
-    # exact x_j - x_i < reach, and x_j <= fl(x_i + reach). NaN and inf
-    # coordinates need no special case: a pair with one never hits,
-    # wherever the sort puts it. A NaN radius makes reach NaN, and every
-    # later circle a candidate, since searchsorted puts NaN last.
+    # with the circles sorted by x, every partner circle i can touch lies in
+    # the run of later circles whose x is within its own window
+    # w_i = fl(fl(r_i + r_max) + skin). No rounding margin is needed. A pair
+    # that _touching keeps has fl(d) < fl(fl(r_i + r_j) + skin) <= w_i, as
+    # rounding is monotone and r_j <= r_max. And fl(d) >= |dx| for
+    # dx = fl(x_j - x_i), because fl(sqrt(fl(dx * dx))) == |dx| (barring
+    # underflow below 1e-154) and adding fl(dy * dy) >= 0 cannot lower the
+    # sum. So fl(x_j - x_i) < w_i; by monotone rounding the exact
+    # x_j - x_i < w_i, and x_j <= fl(x_i + w_i). A window below zero (a
+    # negative radius) holds no later circle, so its run length is clamped
+    # to zero. NaN and inf coordinates need no special case: a pair with one
+    # never hits, wherever the sort puts it. A NaN radius makes r_max and
+    # every window NaN, and every later circle a candidate, since
+    # searchsorted puts NaN last.
     n = p.shape[0]
-    reach = 2.0 * float(r.max()) + skin if n else 0.0
-    if n < 2 or reach <= 0.0:
-        # No pair can hit, and a non-positive reach would give negative
-        # run lengths.
+    if n < 2:
         return Contacts(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
     order = np.argsort(p[:, 0])
     x = p[order, 0]
+    window = r[order] + r.max() + skin
     after = np.arange(1, n + 1)
-    counts = np.searchsorted(x, x + reach, side="right") - after
+    counts = np.searchsorted(x, x + window, side="right") - after
+    np.maximum(counts, 0, out=counts)
     first = np.repeat(after - (np.cumsum(counts) - counts), counts)
     ci = np.repeat(order, counts)
     cj = order[np.arange(first.shape[0]) + first]
-    found = _touching(p, r, np.minimum(ci, cj), np.maximum(ci, cj), skin)
+    iu, ju = np.minimum(ci, cj), np.maximum(ci, cj)
+    found = _touching(p, iu, ju, r[iu] + r[ju] + skin)
     by_pair = np.argsort(found.i * n + found.j)
     return Contacts(found.i[by_pair], found.j[by_pair], found.d[by_pair])
 
 
 # Verlet skin of a NeighbourList, in ticks of top-speed travel v_max * dt
-# (skin 16 at the defaults). Measured on full-budget II2 solves (2-vCPU VM,
-# numpy 2.4): 8 ticks rebuilt 927 times in 15 000 ticks at 72-89 us/tick,
-# 2 ticks rebuilt 3 468 times at 81-82 us/tick, and 4, 6 or 12 ticks ran
-# within host noise of 8.
+# (skin 16 at the defaults). Measured on full-budget seed-0 II2 solves
+# (2-vCPU VM, numpy 2.4), three interleaved rounds: in 15 000 ticks, 2 ticks
+# rebuilt 3 468 times at 162-227 us/tick, 4 ticks 1 822 times at 142-186,
+# 6 ticks 1 231 times at 156-176, 8 ticks 927 times at 163-194 and 12 ticks
+# 612 times at 135-185. Every choice ran within host noise of the others.
 SKIN_TICKS = 8.0
 
 
 class NeighbourList:
     """Contacts of one moving layout, from a Verlet list of candidate pairs.
 
-    A rebuild runs the ``contact_pairs`` sweep with the reach widened by
+    A rebuild runs the ``contact_pairs`` sweep with every window widened by
     ``skin`` and keeps every pair with d < r_i + r_j + skin, in (i, j)
-    order, along with the positions it saw. Each call re-filters those
-    candidates with the same distance arithmetic as ``contact_pairs``, so it
-    returns bitwise the same Contacts. The list is exact while no circle has
-    moved more than skin / 2 since the rebuild: two circles then close at
-    most skin. A call that finds a larger displacement, or a non-finite one,
+    order, with its radius sum r_i + r_j and the positions it saw. Each call
+    re-filters those candidates against their sums with the same distance
+    arithmetic as ``contact_pairs``, so it returns bitwise the same
+    Contacts. The list is exact while no circle has moved more than skin / 2
+    since the rebuild: two circles then close at most skin. A call that finds a larger displacement, or a non-finite one,
     rebuilds first. ``travel`` is the farthest a circle moves per tick.
     """
 
@@ -195,7 +214,7 @@ class NeighbourList:
         limit = 0.5 * self.skin - 16.0 * np.finfo(float).eps * widest
         self._limit_sq = limit * limit if limit > 0.0 else -1.0
         self._anchor: Optional[np.ndarray] = None
-        self._i = self._j = None
+        self._i = self._j = self._reach = None
         self.rebuilds = 0
 
     def contacts(self, positions) -> Contacts:
@@ -204,12 +223,14 @@ class NeighbourList:
         if self._anchor is None or self._moved_past_skin(p):
             self._anchor = p.copy()
             self._i, self._j, _ = _sweep_contacts(p, r, self.skin)
+            self._reach = r[self._i] + r[self._j]
             self.rebuilds += 1
-        return _touching(p, r, self._i, self._j)
+        return _touching(p, self._i, self._j, self._reach)
 
     def _moved_past_skin(self, p) -> bool:
         step = p - self._anchor
-        moved = step[:, 0] ** 2 + step[:, 1] ** 2
+        step *= step
+        moved = step[:, 0] + step[:, 1]
         # Written so that NaN, from a NaN or inf position, also rebuilds.
         return moved.size > 0 and not moved.max() <= self._limit_sq
 
@@ -241,8 +262,9 @@ def center_of_gravity(positions, masses) -> np.ndarray:
 
 
 def cg_offset(cg) -> float:
-    """Distance of a gravity center ``cg`` from the origin."""
-    return math.sqrt(cg[0] * cg[0] + cg[1] * cg[1])
+    """Distance of a gravity center ``cg``, a (2,) array, from the origin."""
+    x, y = cg.tolist()
+    return math.sqrt(x * x + y * y)
 
 
 def cg_violation(positions, masses) -> float:
@@ -257,5 +279,6 @@ def enclosing_radius(positions, radii, center=(0.0, 0.0)) -> float:
     if r.ndim != 1 or r.shape[0] != p.shape[0] or p.shape[0] == 0:
         raise InvalidGeometryError("positions and radii lengths differ or are empty")
     c = np.asarray(center, dtype=float).reshape(2)
-    diff = p - c
-    return float((np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2) + r).max())
+    reach = row_norms(p - c)
+    reach += r
+    return float(reach.max())

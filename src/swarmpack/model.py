@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -36,6 +37,13 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return int(self.radii.shape[0])
+
+    @cached_property
+    def mass_share(self) -> np.ndarray:
+        """Each circle's fraction of the total mass, as a read-only (N, 1) column."""
+        share = (self.masses / self.masses.sum())[:, None]
+        share.setflags(write=False)
+        return share
 
     def circles(self) -> list[tuple[float, float]]:
         return list(zip(self.radii.tolist(), self.masses.tolist()))

@@ -73,11 +73,25 @@ def test_exact_tangency_is_not_an_overlap():
     assert overlap_pairs(barely, r).shape[0] == 2
 
 
-def test_pairs_are_directed_and_lexsorted():
+def test_pairs_are_directed_with_ascending_partners():
+    # The (j, i) rows first, then the (i, j) rows, both in (i, j) order.
     positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [9.0, 9.0]])
     radii = np.array([1.0, 1.0, 1.0, 1.0])
     pairs = overlap_pairs(positions, radii)
-    assert pairs.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
+    assert pairs.tolist() == [[1, 0], [2, 0], [2, 1], [0, 1], [0, 2], [1, 2]]
+    # Each source's partners in ascending order, as np.add.at needs them.
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        radii = rng.uniform(0.3, 2.0, n)
+        pairs = overlap_pairs(rng.uniform(-4.0, 4.0, (n, 2)), radii)
+        for src in range(n):
+            partners = pairs[pairs[:, 0] == src, 1]
+            assert np.all(np.diff(partners) > 0)
+        # Every overlapping pair once in each direction.
+        rows = pairs.tolist()
+        assert len(set(map(tuple, rows))) == len(rows)
+        assert sorted(rows) == sorted([b, a] for a, b in rows)
 
 
 def broad_phase_layouts():
@@ -105,16 +119,29 @@ def broad_phase_layouts():
     # r_i + r_j + skin, the sweep's own reach, up to where x rounds to 1/8.
     for offset in (0.0, 1e3, -1e9, 1e15, -1e15):
         for skin in (0.0, 16.0):
-            n = 62
-            r = float(rng.uniform(0.2, 3.0))
-            x = np.empty(n)
-            x[0] = offset
-            for k in range(1, n):
-                x[k] = x[k - 1] + (r + r + skin)
-                ulps = int(rng.integers(-3, 4))
-                for _ in range(abs(ulps)):
-                    x[k] = np.nextafter(x[k], np.copysign(np.inf, ulps))
-            yield np.stack([x, np.zeros(n)], axis=1), np.full(n, r)
+            yield ulp_chain(rng, np.full(62, rng.uniform(0.2, 3.0)), skin, offset)
+    # The same chains with radii alternating 10 and 50, as in II2: each
+    # circle's sweep window r_i + r_max + skin is exactly wide enough for
+    # its neighbour when circle i is the small one.
+    for offset in (0.0, 1e3, -1e9, 1e15, -1e15):
+        for skin in (0.0, 16.0):
+            yield ulp_chain(rng, np.tile([10.0, 50.0], 31), skin, offset)
+    # Radii of both signs: a window below zero must hold no candidate.
+    radii = rng.uniform(0.5, 3.0, 48)
+    radii[::6] = -40.0
+    yield rng.uniform(-3.0, 3.0, (48, 2)), radii
+
+
+def ulp_chain(rng, radii, skin, offset):
+    # Circles along x, each r_i + r_j + skin from the last, give or take 3 ulps.
+    x = np.empty(radii.shape[0])
+    x[0] = offset
+    for k in range(1, x.shape[0]):
+        x[k] = x[k - 1] + (radii[k - 1] + radii[k] + skin)
+        ulps = int(rng.integers(-3, 4))
+        for _ in range(abs(ulps)):
+            x[k] = np.nextafter(x[k], np.copysign(np.inf, ulps))
+    return np.stack([x, np.zeros(x.shape[0])], axis=1), radii
 
 
 def test_grid_and_naive_agree_on_random_states():

@@ -15,7 +15,7 @@ from swarmpack.geometry import (
     total_overlap,
 )
 
-from oracles import UNIT_PAIR_LENS_AREA, mc_lens_area
+from oracles import UNIT_PAIR_LENS_AREA, all_pairs_contacts, mc_lens_area
 
 
 def disk(x, y, r):
@@ -109,19 +109,20 @@ def test_lens_rejects_bad_disks():
 
 
 def test_total_overlap_sums_pairwise_lens_areas():
+    # Bitwise: np.sum of each overlapping pair's scalar lens_area, in (i, j) order.
     rng = np.random.default_rng(6)
     for _ in range(25):
-        n = int(rng.integers(2, 12))
+        n = int(rng.integers(2, 41))
         positions = rng.uniform(-5, 5, (n, 2))
         radii = rng.uniform(0.3, 3.0, n)
-        expected = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                expected += lens_area(
-                    disk(positions[i, 0], positions[i, 1], radii[i]),
-                    disk(positions[j, 0], positions[j, 1], radii[j]),
-                )
-        assert total_overlap(positions, radii) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        areas = [
+            lens_area(
+                disk(positions[i, 0], positions[i, 1], radii[i]),
+                disk(positions[j, 0], positions[j, 1], radii[j]),
+            )
+            for i, j, _ in zip(*all_pairs_contacts(positions, radii))
+        ]
+        assert total_overlap(positions, radii) == np.sum(areas)
 
 
 def test_total_overlap_zero_for_spread_layout():

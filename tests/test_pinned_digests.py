@@ -21,7 +21,8 @@ import swarmpack
 DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 PINNED_NUMPY = "2.4"
 
-# swarmpack solve {I1,I3} --iters 2000 --seed {0,3} --out-json --trace-csv
+# swarmpack solve {I1,I3} --iters 2000 and II1 --iters 1500, each at --seed {0,3},
+# with --out-json and --trace-csv
 PINNED = {
     "I1-0.json": "fc7cba92bcfb2e53324d1a3dffc5913e96b8c8978360b01a9c66decaa6406f29",
     "I1-0.csv": "1d1043efa0f1944b72319a7ae7b16de2fbdb97f0f9f32d658a825feba1e55f63",
@@ -31,15 +32,19 @@ PINNED = {
     "I3-0.csv": "409cde97e2c01d7ce918e5de7690066aca1992f0cceb910df613d0ed186c6380",
     "I3-3.json": "7fec18f7362a147c55876aba13ca79301a5ef450f2d0e851caafb2163aeac105",
     "I3-3.csv": "ab332605737bf3963dbabc3c9ee6f432a021b5c0e65506832e161aa87ee9ad8d",
+    "II1-0.json": "b882dd95dc10d5b6c86b50fdf0d1d57b986ace2b3e385a60963f51d8451f690c",
+    "II1-0.csv": "d0c2d71ad8cb427238d04892569f14b572fc4eb6a6300c311491da2ebaf75738",
+    "II1-3.json": "7c367b3f569224eaf0e5047ca5278131b69d026d4353774efbbcad9f0b533fd0",
+    "II1-3.csv": "4b12ce3fbc70f9ea207e45e53a9ff9879f0cbc1d8dca087ed65422c8e6ec885d",
 }
 
 SOLVES = """
 import sys
 from swarmpack.cli import main
-for name in ("I1", "I3"):
+for name, iters in (("I1", "2000"), ("I3", "2000"), ("II1", "1500")):
     for seed in ("0", "3"):
         stem = f"{sys.argv[1]}/{name}-{seed}"
-        argv = ["solve", name, "--iters", "2000", "--seed", seed]
+        argv = ["solve", name, "--iters", iters, "--seed", seed]
         code = main([*argv, "--out-json", stem + ".json", "--trace-csv", stem + ".csv"])
         if code != 0:
             sys.exit(f"{' '.join(argv)} exited {code}")
