@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -247,6 +247,27 @@ def total_overlap(positions, radii, *, contacts: Optional[Contacts] = None) -> f
     if d.shape[0] == 0:
         return 0.0
     return float(lens_area_from_distance(d, r[i], r[j]).sum())
+
+
+def total_overlaps(radii, contacts: Sequence[Contacts]) -> list[float]:
+    """``total_overlap`` of several layouts of one swarm, from one lens-area call.
+
+    ``contacts`` holds one or more layouts' contact pairs. Every total is
+    bitwise what ``total_overlap`` gives that layout: the lens kernel rounds
+    each element alike whatever the array around it, and each layout's areas
+    are summed by ``np.sum`` over its own slice (``np.add.reduceat`` and
+    padded 2-D sums round differently).
+    """
+    r = np.asarray(radii, dtype=float)
+    i, j, d = (np.concatenate(column) for column in zip(*contacts))
+    areas = lens_area_from_distance(d, r[i], r[j])
+    totals = []
+    start = 0
+    for c in contacts:
+        end = start + c.d.shape[0]
+        totals.append(float(areas[start:end].sum()))
+        start = end
+    return totals
 
 
 def center_of_gravity(positions, masses) -> np.ndarray:

@@ -5,11 +5,16 @@ anchored at the origin), step the dynamics, then judge the new layout. Each
 layout gets its contacts from the run's one NeighbourList, which reruns the
 pair search only when some circle has moved past half its skin, and one
 gravity center; both serve the evaluation that judges the layout and the
-forces of the next iteration. A layout is feasible when its total overlap
-is inside tolerance and the enclosing radius measured about its own gravity
-center fits the target. Each feasible layout ratchets the target down via
-the schedule; the smallest feasible radius seen is kept, translated so the
-gravity center lands on the origin.
+forces of the next iteration. A layout is feasible when the enclosing radius
+measured about its own gravity center fits the target and its total overlap
+is inside tolerance. The evaluation runs in that order: gravity center,
+enclosing radius, and the total overlap only for a layout that fits, since
+only then can the overlap change the verdict. A layout that does not fit
+still gets its overlap row in the history: its contacts are queued and their
+lens areas computed in batches of about OVERLAP_FLUSH_PAIRS pairs, each row
+bitwise what ``total_overlap`` gives. Each feasible layout ratchets the
+target down via the schedule; the smallest feasible radius seen is kept,
+translated so the gravity center lands on the origin.
 """
 
 from __future__ import annotations
@@ -21,7 +26,15 @@ import numpy as np
 
 from .dynamics import integrate_step
 from .forces import assemble_forces
-from .geometry import Contacts, NeighbourList, center_of_gravity, cg_offset, enclosing_radius, total_overlap
+from .geometry import (
+    Contacts,
+    NeighbourList,
+    center_of_gravity,
+    cg_offset,
+    enclosing_radius,
+    total_overlap,
+    total_overlaps,
+)
 from .init import initial_state
 from .model import Hyperparameters, History, InvalidInputError, ProblemInstance, SolveResult
 
@@ -32,6 +45,12 @@ FEASIBLE_RADIUS_EPS = 1e-9
 # Milestone thresholds the result JSON and the bench report write: fractions
 # above the final radius, loosest first.
 MILESTONE_THRESHOLDS = (0.10, 0.05, 0.01, 0.005, 0.001)
+
+# Queued contact pairs of layouts that failed the radius test, run through
+# the lens kernel in one call once this many are pending. Small, so the
+# queue stays a few kB: 8192 pairs raised small-batch peak RSS by 7.8%
+# (BENCH_18.json).
+OVERLAP_FLUSH_PAIRS = 256
 
 
 class NoMilestonesError(RuntimeError):
@@ -51,12 +70,41 @@ def _evaluate(
     overlap_tol: float,
     contacts: Contacts,
 ):
-    overlap = total_overlap(positions, instance.radii, contacts=contacts)
+    # The radius test first: a layout that does not fit is infeasible
+    # whatever its overlap, so its overlap is left to the caller (None).
     cg = center_of_gravity(positions, instance.masses)
     cgv = cg_offset(cg)
     encl = enclosing_radius(positions, instance.radii, cg)
-    feasible = overlap <= overlap_tol and encl <= target_radius + FEASIBLE_RADIUS_EPS
-    return overlap, cg, cgv, encl, feasible
+    if not encl <= target_radius + FEASIBLE_RADIUS_EPS:
+        return cg, cgv, encl, None, False
+    overlap = total_overlap(positions, instance.radii, contacts=contacts)
+    return cg, cgv, encl, overlap, overlap <= overlap_tol
+
+
+class _OverlapQueue:
+    # History overlap rows of layouts that failed the radius test, written
+    # in batches through geometry.total_overlaps.
+
+    def __init__(self, radii: np.ndarray, column: np.ndarray):
+        self.radii = radii
+        self.column = column
+        self.rows: list[int] = []
+        self.contacts: list[Contacts] = []
+        self.pending = 0
+
+    def add(self, row: int, contacts: Contacts) -> None:
+        self.rows.append(row)
+        self.contacts.append(contacts)
+        self.pending += contacts.d.shape[0]
+        if self.pending >= OVERLAP_FLUSH_PAIRS:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.rows:
+            self.column[self.rows] = total_overlaps(self.radii, self.contacts)
+            self.rows.clear()
+            self.contacts.clear()
+            self.pending = 0
 
 
 def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> SolveResult:
@@ -85,6 +133,7 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
     best_radius: Optional[float] = None
     best_iteration: Optional[int] = None
     best_positions: Optional[np.ndarray] = None
+    queued = _OverlapQueue(instance.radii, overlap_col)
 
     for t in range(1, hp.n_it + 1):
         target = schedule.target_radius
@@ -94,15 +143,20 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
         except InvalidInputError as exc:
             raise InvalidInputError(f"iteration {t}: {exc}") from None
         contacts = neighbours.contacts(positions)
-        overlap, cg, cgv, encl, feasible = _evaluate(positions, instance, target, overlap_tol, contacts)
+        cg, cgv, encl, overlap, feasible = _evaluate(positions, instance, target, overlap_tol, contacts)
         if not (math.isfinite(encl) and math.isfinite(cgv)):
             raise InvalidInputError(
                 f"layout turned non-finite at iteration {t} (enclosing radius {encl!r}, "
                 f"gravity-center offset {cgv!r}); check the hyperparameter scales"
             )
         target_col[t - 1] = target
-        overlap_col[t - 1] = overlap
         cgv_col[t - 1] = cgv
+        if overlap is not None:
+            overlap_col[t - 1] = overlap
+        elif contacts.d.shape[0]:
+            queued.add(t - 1, contacts)
+        else:
+            overlap_col[t - 1] = 0.0
         if feasible:
             actual_col[t - 1] = encl
             if best_radius is None or encl < best_radius:
@@ -112,6 +166,7 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
             schedule.on_feasible(encl, t, hp)
         else:
             schedule.on_infeasible(hp)
+    queued.flush()
 
     return SolveResult(
         instance=instance,

@@ -9,10 +9,12 @@ from swarmpack.geometry import (
     Point2,
     center_of_gravity,
     cg_violation,
+    contact_pairs,
     enclosing_radius,
     lens_area,
     lens_area_from_distance,
     total_overlap,
+    total_overlaps,
 )
 
 from oracles import UNIT_PAIR_LENS_AREA, all_pairs_contacts, mc_lens_area
@@ -123,6 +125,49 @@ def test_total_overlap_sums_pairwise_lens_areas():
             for i, j, _ in zip(*all_pairs_contacts(positions, radii))
         ]
         assert total_overlap(positions, radii) == np.sum(areas)
+
+
+def batch_layouts():
+    # Twenty layouts of one swarm at spreads from crowded to loose, radii
+    # 0.2-4 so small disks sit inside large ones, coincident centres in
+    # every third layout, and one layout with no contacts.
+    rng = np.random.default_rng(8)
+    n = 24
+    radii = rng.uniform(0.2, 4.0, n)
+    layouts = []
+    for k in range(19):
+        positions = rng.uniform(-1.0, 1.0, (n, 2)) * rng.uniform(2.0, 40.0)
+        if k % 3 == 0:
+            positions[1] = positions[0]
+        layouts.append(positions)
+    layouts.append(np.arange(2.0 * n).reshape(n, 2) * 100.0)
+    return radii, layouts
+
+
+def test_batched_lens_areas_equal_each_layout_bitwise():
+    # The two assumptions geometry.total_overlaps rests on: the lens kernel
+    # gives every element the same bits in one long call as in the layout's
+    # own call, and np.sum over the layout's slice gives its total_overlap.
+    radii, layouts = batch_layouts()
+    contacts = [contact_pairs(p, radii) for p in layouts]
+    i, j, d = (np.concatenate(column) for column in zip(*contacts))
+    batched = lens_area_from_distance(d, radii[i], radii[j])
+    start = 0
+    for positions, c in zip(layouts, contacts):
+        end = start + c.d.shape[0]
+        own = lens_area_from_distance(c.d, radii[c.i], radii[c.j])
+        assert batched[start:end].tobytes() == own.tobytes()
+        assert np.sum(batched[start:end]) == total_overlap(positions, radii, contacts=c)
+        start = end
+    assert total_overlaps(radii, contacts) == [total_overlap(p, radii) for p in layouts]
+    # The batch mixes contained and partial pairs and d = 0, while some
+    # layouts on their own are all partial (the kernel's no-scatter branch)
+    # and one has no contacts.
+    contained = d <= np.abs(radii[i] - radii[j])
+    assert (d == 0.0).any() and contained.any() and not contained.all()
+    alone = [bool((c.d > np.abs(radii[c.i] - radii[c.j])).all()) for c in contacts if c.d.shape[0]]
+    assert any(alone) and not all(alone)
+    assert contacts[-1].d.shape[0] == 0
 
 
 def test_total_overlap_zero_for_spread_layout():

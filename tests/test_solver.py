@@ -70,6 +70,31 @@ def test_is_feasible_judges_fit_about_the_gravity_center():
     assert not is_feasible(positions, lopsided, 3.2)
 
 
+def test_is_feasible_covers_all_four_verdicts():
+    # The radius test runs first and the overlap only for a layout that
+    # fits; every verdict must equal the one both tests together give.
+    inst = ProblemInstance("duo", radii=[1.0, 1.0], masses=[1.0, 1.0])
+    tol = overlap_tolerance(inst)
+    overlapping = [[-0.5, 0.0], [0.5, 0.0]]
+    apart = [[-1.5, 0.0], [1.5, 0.0]]
+    cases = (
+        (overlapping, 1.4),  # radius and overlap both fail
+        (apart, 2.4),  # only the radius fails
+        (overlapping, 10.0),  # only the overlap fails
+        (apart, 2.5),  # both pass
+    )
+    verdicts = []
+    for layout, target in cases:
+        positions = np.asarray(layout, dtype=float)
+        contacts = contact_pairs(positions, inst.radii)
+        *_, encl, overlap, feasible = solver._evaluate(positions, inst, target, tol, contacts)
+        fits = encl <= target + FEASIBLE_RADIUS_EPS
+        assert overlap == (total_overlap(positions, inst.radii) if fits else None)
+        assert feasible == (fits and total_overlap(positions, inst.radii) <= tol)
+        verdicts.append(feasible)
+    assert verdicts == [False, False, False, True]
+
+
 def test_overlap_tolerance_scales_with_smallest_circle():
     inst = ProblemInstance("toy", radii=[3.0, 4.0], masses=[1.0, 2.0])
     assert overlap_tolerance(inst) == pytest.approx(1e-6 * math.pi * 9.0, rel=1e-12)
@@ -160,6 +185,26 @@ def test_neighbour_list_solve_matches_a_search_per_layout(monkeypatch, name, n_i
     searched = solve(inst, hp)
     assert format_result_json(listed) == format_result_json(searched)
     assert columns_bytes(listed.history) == columns_bytes(searched.history)
+
+
+@pytest.mark.parametrize("name, n_it", [("I1", 3000), ("II1", 1000)])
+def test_overlap_rows_do_not_depend_on_the_flush_size(monkeypatch, name, n_it):
+    # Layouts that fail the radius test queue their overlap rows. Flushing
+    # after every queued layout, or only once after the last tick, must
+    # give the default run's bytes; neither budget is a multiple of the
+    # default size, and a missing final flush leaves NaN rows.
+    inst = CORPUS.get(name)
+    hp = Hyperparameters(n_it=n_it, seed=2)
+    assert n_it % solver.OVERLAP_FLUSH_PAIRS != 0
+    default = solve(inst, hp)
+    # More pairs than any run of n_it ticks can queue: one flush at the end.
+    for size in (1, n_it * inst.n * inst.n):
+        monkeypatch.setattr(solver, "OVERLAP_FLUSH_PAIRS", size)
+        flushed = solve(inst, hp)
+        assert columns_bytes(flushed.history) == columns_bytes(default.history)
+        assert not np.isnan(flushed.history.overlap).any()
+    assert not np.isnan(default.history.overlap).any()
+    assert (default.history.overlap > 0.0).any()
 
 
 def test_gravity_center_is_computed_once_per_layout(monkeypatch):
