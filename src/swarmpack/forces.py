@@ -11,7 +11,8 @@ of winding up without bound.
 Contributions accumulate per circle in a fixed order (partners by ascending
 index, then the gravity term, then the containment term) and the resultant
 is capped at f_max, so identical states give bitwise-identical forces no
-matter how the overlapping pairs were found.
+matter how the overlapping pairs were found. A tick with every circle inside
+the target disk skips the containment term, which would add only zeros.
 """
 
 from __future__ import annotations
@@ -70,12 +71,12 @@ def assemble_forces(
     pairs = find_overlap_pairs(r, contacts)
     if pairs.shape[0]:
         src = pairs[:, 0]
-        push = p[pairs[:, 1]] - p[src]
+        push = p.take(pairs[:, 1], 0) - p.take(src, 0)
         dist = row_norms(push)
         dist += EPSILON
         push /= dist[:, None]
         push *= -hp.v_max
-        push -= v[src]
+        push -= v.take(src, 0)
         # np.add.at applies the rows in array order, which holds each
         # source's partners in ascending order.
         np.add.at(total, src, push)
@@ -85,13 +86,19 @@ def assemble_forces(
         total -= hp.alpha * (instance.mass_share * toward)
 
     # Containment: p / |p| points away from the origin, so the push toward
-    # it is that direction times -v_max.
+    # it is that direction times -v_max. With every circle inside, the push
+    # is all zeros and is skipped. That is exact: adding +0.0 changes no
+    # element but -0.0, and total never holds -0.0. It starts at +0.0, and
+    # a sum or difference rounds to -0.0 only from a -0.0 operand on the
+    # left (-0.0 + -0.0, -0.0 - +0.0); exact cancellation gives +0.0.
     dist = row_norms(p)
-    push = p / (dist + EPSILON)[:, None]
-    push *= -hp.v_max
-    push -= v
-    push[dist + r <= target_radius + CONTAINMENT_EPS] = 0.0
-    total += push
+    inside = dist + r <= target_radius + CONTAINMENT_EPS
+    if not inside.all():
+        push = p / (dist + EPSILON)[:, None]
+        push *= -hp.v_max
+        push -= v
+        push[inside] = 0.0
+        total += push
 
     norms = row_norms(total)
     # Written so that a NaN norm also takes the branch, which then scales

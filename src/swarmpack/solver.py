@@ -7,14 +7,18 @@ pair search only when some circle has moved past half its skin, and one
 gravity center; both serve the evaluation that judges the layout and the
 forces of the next iteration. A layout is feasible when the enclosing radius
 measured about its own gravity center fits the target and its total overlap
-is inside tolerance. The evaluation runs in that order: gravity center,
-enclosing radius, and the total overlap only for a layout that fits, since
-only then can the overlap change the verdict. A layout that does not fit
-still gets its overlap row in the history: its contacts are queued and their
-lens areas computed in batches of about OVERLAP_FLUSH_PAIRS pairs, each row
-bitwise what ``total_overlap`` gives. Each feasible layout ratchets the
-target down via the schedule; the smallest feasible radius seen is kept,
-translated so the gravity center lands on the origin.
+is inside tolerance. The evaluation runs in that order, each step only when
+the ones before leave the verdict open: gravity center, enclosing radius,
+deepest contact, then the total overlap. A layout that does not fit is
+infeasible whatever its overlap. A layout that fits but has a contact at
+least ``certain_overlap_depth`` deep is infeasible too, since that one
+lens alone exceeds the tolerance. Only the rest pay for ``total_overlap``.
+A layout judged without its overlap still gets its overlap row in the
+history: its contacts are queued and their lens areas computed in batches
+of about OVERLAP_FLUSH_PAIRS pairs, each row bitwise what ``total_overlap``
+gives. Each feasible layout ratchets the target down via the schedule; the
+smallest feasible radius seen is kept, translated so the gravity center
+lands on the origin.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ FEASIBLE_RADIUS_EPS = 1e-9
 # above the final radius, loosest first.
 MILESTONE_THRESHOLDS = (0.10, 0.05, 0.01, 0.005, 0.001)
 
-# Queued contact pairs of layouts that failed the radius test, run through
+# Queued contact pairs of layouts judged without their overlap, run through
 # the lens kernel in one call once this many are pending. Small, so the
 # queue stays a few kB: 8192 pairs raised small-batch peak RSS by 7.8%
 # (BENCH_18.json).
@@ -63,26 +67,55 @@ def overlap_tolerance(instance: ProblemInstance) -> float:
     return 1e-6 * math.pi * smallest * smallest
 
 
+def certain_overlap_depth(instance: ProblemInstance) -> float:
+    """Contact depth r_i + r_j - d at which a pair's lens alone exceeds the tolerance.
+
+    At a fixed depth the lens area grows with either radius (a larger
+    circle, internally tangent to the smaller at its deepest point, contains
+    it) and with the depth. So the two smallest circles bound every pair
+    from below. Their lens at depth delta <= r_min contains the kite spanned
+    by the two points where the circles cross and the lens's two ends on
+    the line of centers, of area delta * sqrt(r_min * delta - delta^2 / 4)
+    >= sqrt(0.75 r_min) * delta^1.5. The depth returned, about 5.9e-4 r_min,
+    makes that at least four times ``overlap_tolerance``, far above the
+    rounding of the lens kernel and of the distances.
+    """
+    smallest = float(np.min(instance.radii))
+    tol = overlap_tolerance(instance)
+    return min(smallest, (4.0 * tol / math.sqrt(0.75 * smallest)) ** (2.0 / 3.0))
+
+
 def _evaluate(
     positions: np.ndarray,
     instance: ProblemInstance,
     target_radius: float,
     overlap_tol: float,
+    certain_depth: float,
     contacts: Contacts,
 ):
     # The radius test first: a layout that does not fit is infeasible
-    # whatever its overlap, so its overlap is left to the caller (None).
+    # whatever its overlap. Then the deepest contact: one at least
+    # certain_depth deep overlaps past the tolerance on its own. Either way
+    # the overlap is left to the caller (None). A NaN depth fails the
+    # comparison and falls through to total_overlap.
     cg = center_of_gravity(positions, instance.masses)
     cgv = cg_offset(cg)
     encl = enclosing_radius(positions, instance.radii, cg)
     if not encl <= target_radius + FEASIBLE_RADIUS_EPS:
         return cg, cgv, encl, None, False
+    i, j, d = contacts
+    if d.shape[0]:
+        r = instance.radii
+        depth = r.take(i) + r.take(j)
+        depth -= d
+        if depth.max() >= certain_depth:
+            return cg, cgv, encl, None, False
     overlap = total_overlap(positions, instance.radii, contacts=contacts)
     return cg, cgv, encl, overlap, overlap <= overlap_tol
 
 
 class _OverlapQueue:
-    # History overlap rows of layouts that failed the radius test, written
+    # History overlap rows of layouts judged without their overlap, written
     # in batches through geometry.total_overlaps.
 
     def __init__(self, radii: np.ndarray, column: np.ndarray):
@@ -124,6 +157,7 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
         raise InvalidInputError(f"n_it ({hp.n_it}) is too large to hold the history of every iteration") from None
     positions, velocities, schedule = initial_state(instance, hp)
     overlap_tol = overlap_tolerance(instance)
+    certain_depth = certain_overlap_depth(instance)
     masses = instance.masses
     neighbours = NeighbourList(instance.radii, hp.v_max * hp.dt)
     contacts = neighbours.contacts(positions)
@@ -143,7 +177,7 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
         except InvalidInputError as exc:
             raise InvalidInputError(f"iteration {t}: {exc}") from None
         contacts = neighbours.contacts(positions)
-        cg, cgv, encl, overlap, feasible = _evaluate(positions, instance, target, overlap_tol, contacts)
+        cg, cgv, encl, overlap, feasible = _evaluate(positions, instance, target, overlap_tol, certain_depth, contacts)
         if not (math.isfinite(encl) and math.isfinite(cgv)):
             raise InvalidInputError(
                 f"layout turned non-finite at iteration {t} (enclosing radius {encl!r}, "

@@ -9,7 +9,7 @@ from swarmpack.geometry import (
     contact_pairs,
     total_overlap,
 )
-from swarmpack.forces import assemble_forces, cg_gradient, find_overlap_pairs
+from swarmpack.forces import CONTAINMENT_EPS, assemble_forces, cg_gradient, find_overlap_pairs
 from swarmpack.model import Hyperparameters, ProblemInstance
 
 from oracles import all_pairs_contacts, cg_force, fd_cg_gradient, overlap_force, radius_force, resultant_force
@@ -388,6 +388,44 @@ def test_assembly_equals_per_circle_composition():
             contributions.append(cg_force(i, state[0], inst, hp))
             contributions.append(radius_force(i, *state, inst, (0.0, 0.0), target, hp))
             assert np.array_equal(total[i], resultant_force(contributions, hp))
+
+
+def containment_layouts():
+    # (name, state, instance, target): every circle inside, exactly one
+    # outside, and one circle whose far edge lies exactly at target +
+    # CONTAINMENT_EPS (inside) or one ulp past it (outside). The swarms on
+    # the x-axis sit at rest, so every y part is zero.
+    inst = make_instance([1.0, 1.0, 1.0, 1.0, 1.0])
+    row = [[-1.5, 0.0], [-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]
+    yield "inside", make_state(row + [[1.5, 0.0]]), inst, 10.0
+    yield "one outside", make_state(row + [[1.6, 0.0]]), inst, 2.55
+    target = 5.0
+    edge = target + CONTAINMENT_EPS
+    x = edge - 1.0
+    assert x + 1.0 == edge
+    yield "at the edge", make_state(row + [[x, 0.0]]), inst, target
+    yield "past the edge", make_state(row + [[np.nextafter(x, np.inf), 0.0]]), inst, target
+    rng = np.random.default_rng(18)
+    state, inst = random_setup(rng, 12, spread=2.0)
+    yield "moving, inside", state, inst, 10.0
+
+
+def test_containment_is_skipped_only_when_every_circle_is_inside():
+    hp = Hyperparameters(f_max=8.0, v_max=2.0, alpha=11.0)
+    for name, state, inst, target in containment_layouts():
+        total = forces_of(state, inst, target, hp)
+        n = total.shape[0]
+        pushed = []
+        for i in range(n):
+            contributions = [overlap_force(i, j, *state, inst, hp) for j in range(n) if j != i]
+            contributions.append(cg_force(i, state[0], inst, hp))
+            radius = radius_force(i, *state, inst, (0.0, 0.0), target, hp)
+            pushed.append(radius.any())
+            contributions.append(radius)
+            assert total[i].tobytes() == resultant_force(contributions, hp).tobytes(), name
+        assert sum(pushed) == (name in ("one outside", "past the edge")), name
+        # A skipped push that would have turned -0.0 into +0.0 shows here.
+        assert not np.signbit(total[total == 0.0]).any(), name
 
 
 def test_assembly_is_search_independent_bitwise():

@@ -13,6 +13,7 @@ from swarmpack.solver import (
     FEASIBLE_RADIUS_EPS,
     MILESTONE_THRESHOLDS,
     NoMilestonesError,
+    certain_overlap_depth,
     convergence_milestones,
     overlap_tolerance,
     solve,
@@ -47,11 +48,16 @@ DEEP_PAIR = ProblemInstance("deeppair", radii=[10.0, 10.0], masses=[1.0, 1.0])
 DEEP_PAIR_SEED = 6
 
 
-def is_feasible(positions, instance, target_radius):
+def evaluate(positions, instance, target_radius):
     # The per-layout evaluation solve runs after every tick.
     positions = np.asarray(positions, dtype=float)
     contacts = contact_pairs(positions, instance.radii)
-    return solver._evaluate(positions, instance, target_radius, overlap_tolerance(instance), contacts)[-1]
+    tol, depth = overlap_tolerance(instance), certain_overlap_depth(instance)
+    return solver._evaluate(positions, instance, target_radius, tol, depth, contacts)
+
+
+def is_feasible(positions, instance, target_radius):
+    return evaluate(positions, instance, target_radius)[-1]
 
 
 def test_is_feasible_judges_fit_about_the_gravity_center():
@@ -71,28 +77,31 @@ def test_is_feasible_judges_fit_about_the_gravity_center():
 
 
 def test_is_feasible_covers_all_four_verdicts():
-    # The radius test runs first and the overlap only for a layout that
-    # fits; every verdict must equal the one both tests together give.
+    # The radius test runs first, then the deepest contact, and the overlap
+    # only for a layout that fits without a contact of certain overlap;
+    # every verdict must equal the one both tests together give.
     inst = ProblemInstance("duo", radii=[1.0, 1.0], masses=[1.0, 1.0])
     tol = overlap_tolerance(inst)
     overlapping = [[-0.5, 0.0], [0.5, 0.0]]
+    # Depth 3e-4, below the certain depth, yet a lens past the tolerance.
+    shallow = [[-0.99985, 0.0], [0.99985, 0.0]]
     apart = [[-1.5, 0.0], [1.5, 0.0]]
     cases = (
-        (overlapping, 1.4),  # radius and overlap both fail
-        (apart, 2.4),  # only the radius fails
-        (overlapping, 10.0),  # only the overlap fails
-        (apart, 2.5),  # both pass
+        (overlapping, 1.4, None),  # radius and overlap both fail
+        (apart, 2.4, None),  # only the radius fails
+        (overlapping, 10.0, None),  # only the overlap fails, settled by depth
+        (shallow, 10.0, total_overlap(shallow, inst.radii)),  # only the overlap fails
+        (apart, 2.5, 0.0),  # both pass
     )
     verdicts = []
-    for layout, target in cases:
+    for layout, target, want_overlap in cases:
         positions = np.asarray(layout, dtype=float)
-        contacts = contact_pairs(positions, inst.radii)
-        *_, encl, overlap, feasible = solver._evaluate(positions, inst, target, tol, contacts)
+        *_, encl, overlap, feasible = evaluate(positions, inst, target)
         fits = encl <= target + FEASIBLE_RADIUS_EPS
-        assert overlap == (total_overlap(positions, inst.radii) if fits else None)
+        assert overlap == want_overlap
         assert feasible == (fits and total_overlap(positions, inst.radii) <= tol)
         verdicts.append(feasible)
-    assert verdicts == [False, False, False, True]
+    assert verdicts == [False, False, False, False, True]
 
 
 def test_overlap_tolerance_scales_with_smallest_circle():
@@ -205,6 +214,106 @@ def test_overlap_rows_do_not_depend_on_the_flush_size(monkeypatch, name, n_it):
         assert not np.isnan(flushed.history.overlap).any()
     assert not np.isnan(default.history.overlap).any()
     assert (default.history.overlap > 0.0).any()
+
+
+def pair_at_depth(rng, r_a, r_b, depth):
+    # Two circles whose centers lie r_a + r_b - depth apart, in a random
+    # direction from a random point, so the distance carries rounding.
+    a = rng.uniform(-50.0, 50.0, 2)
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    gap = max(r_a + r_b - depth, 0.0)
+    return np.array([a, a + gap * np.array([math.cos(angle), math.sin(angle)])])
+
+
+def test_a_contact_at_the_certain_depth_overlaps_past_the_tolerance():
+    # Every pair whose depth, as the solver computes it, reaches the
+    # certain depth has a lens area past the tolerance: equal pairs of the
+    # smallest radius, very unequal pairs and random pairs, at depths from
+    # the certain depth itself up to full containment.
+    rng = np.random.default_rng(19)
+    checked = 0
+    for _ in range(60):
+        r_min = float(10.0 ** rng.uniform(-2.0, 2.0))
+        for r_a, r_b in (
+            (r_min, r_min),
+            (r_min, r_min * 1000.0),
+            (r_min * rng.uniform(1.0, 3.0), r_min * rng.uniform(1.0, 50.0)),
+        ):
+            inst = ProblemInstance("pair", radii=[r_min, r_a, r_b], masses=[1.0, 1.0, 1.0])
+            tol = overlap_tolerance(inst)
+            certain = certain_overlap_depth(inst)
+            assert 5e-4 * r_min < certain < 7e-4 * r_min
+            full = r_a + r_b
+            depths = [certain, np.nextafter(certain, np.inf), np.nextafter(certain, 0.0), abs(r_b - r_a) + certain]
+            depths += list(certain * np.logspace(0.0, math.log10(full / certain), 12))
+            for depth in depths:
+                positions = pair_at_depth(rng, r_a, r_b, depth)
+                i, j, d = contact_pairs(positions, [r_a, r_b])
+                if not (d.shape[0] and r_a + r_b - d[0] >= certain):
+                    continue
+                checked += 1
+                # The kite bound gives at least 4 * tol; the lens is larger.
+                assert total_overlap(positions, [r_a, r_b]) > 4.0 * tol
+    assert checked > 2000
+
+
+def test_the_depth_rule_gives_the_verdict_of_the_total_overlap():
+    # Random layouts with one contact pushed to about the certain depth (a
+    # tenth to ten times it): the verdict with the rule equals the one the
+    # total overlap alone gives, and an overlap the evaluation returns is
+    # total_overlap's.
+    rng = np.random.default_rng(1919)
+    settled = deferred = feasible = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 25))
+        radii = rng.uniform(1.0, float(rng.choice([1.5, 10.0, 50.0])), n)
+        # On a line, spaced apart, then one neighbour moved into its partner.
+        x = np.cumsum(radii[:-1] + radii[1:] + rng.uniform(0.0, 0.5, n - 1))
+        positions = np.stack([np.concatenate(([0.0], x)), rng.uniform(-0.01, 0.01, n)], axis=1)
+        inst = ProblemInstance("line", radii=radii, masses=rng.uniform(1.0, 5.0, n))
+        certain = certain_overlap_depth(inst)
+        k = int(rng.integers(0, n - 1))
+        depth = certain * float(10.0 ** rng.uniform(-1.0, 1.0))
+        positions[k + 1 :, 0] -= positions[k + 1, 0] - positions[k, 0] - (radii[k] + radii[k + 1] - depth)
+        target = float(rng.choice([1e9, 1.0]))
+        *_, overlap, verdict = evaluate(positions, inst, target)
+        fits = target == 1e9
+        whole = total_overlap(positions, radii)
+        assert verdict == (fits and whole <= overlap_tolerance(inst))
+        if fits:
+            if overlap is None:
+                settled += 1
+            else:
+                deferred += 1
+                assert overlap == whole
+                feasible += verdict
+    assert settled > 50 and deferred > 50 and 0 < feasible < deferred
+
+
+@pytest.mark.parametrize("name, n_it", [("I1", 3000), ("II1", 1000), ("II2", 1500)])
+def test_overlap_rows_do_not_depend_on_the_depth_rule(monkeypatch, name, n_it):
+    # Layouts that fit but hold a contact of certain overlap queue their
+    # overlap rows. A depth no contact reaches turns the rule off; the run
+    # must give the default run's bytes, with every overlap row filled.
+    inst = CORPUS.get(name)
+    hp = Hyperparameters(n_it=n_it, seed=2)
+    calls = []
+    counted = solver.total_overlap
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "total_overlap", counting)
+    default = solve(inst, hp)
+    with_rule = len(calls)
+    monkeypatch.setattr(solver, "certain_overlap_depth", lambda instance: math.inf)
+    without = solve(inst, hp)
+    assert format_result_json(default) == format_result_json(without)
+    assert columns_bytes(default.history) == columns_bytes(without.history)
+    assert not np.isnan(default.history.overlap).any()
+    # The rule fired: some layout that fit skipped total_overlap.
+    assert 0 < with_rule < len(calls) - with_rule
 
 
 def test_gravity_center_is_computed_once_per_layout(monkeypatch):
