@@ -112,11 +112,16 @@ def _as_radii(radii, p) -> np.ndarray:
 
 
 class Contacts(NamedTuple):
-    """Overlapping pairs i < j (d < r_i + r_j) sorted by (i, j), with distances d."""
+    """Overlapping pairs i < j (d < reach) sorted by (i, j).
+
+    ``d`` holds each pair's center distance and ``reach`` its radius sum
+    r_i + r_j, bitwise ``radii[i] + radii[j]``.
+    """
 
     i: np.ndarray
     j: np.ndarray
     d: np.ndarray
+    reach: np.ndarray
 
 
 def contact_pairs(positions, radii) -> Contacts:
@@ -139,18 +144,20 @@ def row_norms(vectors) -> np.ndarray:
     return np.sqrt(sq[:, 0] + sq[:, 1])
 
 
-def _touching(p, iu, ju, reach) -> Contacts:
-    # The candidates i < j with d < reach, their radius sum (plus any skin).
-    # take gathers the same rows as p[ju], without fancy indexing's overhead.
+def _touching(p, iu, ju, reach, skin=0.0) -> Contacts:
+    # The candidates i < j with d < reach + skin, where reach holds their
+    # radius sums; each contact keeps its sum. take gathers the same rows as
+    # p[ju], without fancy indexing's overhead.
     d = row_norms(p.take(ju, 0) - p.take(iu, 0))
-    hit = d < reach
-    return Contacts(iu[hit], ju[hit], d[hit])
+    hit = d < (reach + skin if skin else reach)
+    return Contacts(iu[hit], ju[hit], d[hit], reach[hit])
 
 
 def _sweep_contacts(p, r, skin=0.0) -> Contacts:
-    # Pairs with d < r_i + r_j + skin, sorted by (i, j). Sort and sweep:
-    # with the circles sorted by x, every partner circle i can touch lies in
-    # the run of later circles whose x is within its own window
+    # Pairs with d < r_i + r_j + skin, sorted by (i, j), each with its
+    # radius sum r_i + r_j (without the skin) as reach. Sort and sweep: with
+    # the circles sorted by x, every partner circle i can touch lies in the
+    # run of later circles whose x is within its own window
     # w_i = fl(fl(r_i + r_max) + skin). No rounding margin is needed. A pair
     # that _touching keeps has fl(d) < fl(fl(r_i + r_j) + skin) <= w_i, as
     # rounding is monotone and r_j <= r_max. And fl(d) >= |dx| for
@@ -165,7 +172,7 @@ def _sweep_contacts(p, r, skin=0.0) -> Contacts:
     # searchsorted puts NaN last.
     n = p.shape[0]
     if n < 2:
-        return Contacts(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+        return Contacts(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
     order = np.argsort(p[:, 0])
     x = p[order, 0]
     window = r[order] + r.max() + skin
@@ -176,9 +183,9 @@ def _sweep_contacts(p, r, skin=0.0) -> Contacts:
     ci = np.repeat(order, counts)
     cj = order[np.arange(first.shape[0]) + first]
     iu, ju = np.minimum(ci, cj), np.maximum(ci, cj)
-    found = _touching(p, iu, ju, r[iu] + r[ju] + skin)
+    found = _touching(p, iu, ju, r[iu] + r[ju], skin)
     by_pair = np.argsort(found.i * n + found.j)
-    return Contacts(found.i[by_pair], found.j[by_pair], found.d[by_pair])
+    return Contacts(*(column[by_pair] for column in found))
 
 
 # Verlet skin of a NeighbourList, in ticks of top-speed travel v_max * dt
@@ -198,9 +205,10 @@ class NeighbourList:
     order, with its radius sum r_i + r_j and the positions it saw. Each call
     re-filters those candidates against their sums with the same distance
     arithmetic as ``contact_pairs``, so it returns bitwise the same
-    Contacts. The list is exact while no circle has moved more than skin / 2
-    since the rebuild: two circles then close at most skin. A call that finds a larger displacement, or a non-finite one,
-    rebuilds first. ``travel`` is the farthest a circle moves per tick.
+    Contacts. The list is exact while no circle has moved more than
+    skin / 2 since the rebuild: two circles then close at most skin. A
+    call that finds a larger displacement, or a non-finite one, rebuilds
+    first. ``travel`` is the farthest a circle moves per tick.
     """
 
     def __init__(self, radii, travel: float):
@@ -223,8 +231,7 @@ class NeighbourList:
         r = _as_radii(self.radii, p)
         if self._anchor is None or self._moved_past_skin(p):
             self._anchor = p.copy()
-            self._i, self._j, _ = _sweep_contacts(p, r, self.skin)
-            self._reach = r[self._i] + r[self._j]
+            self._i, self._j, _, self._reach = _sweep_contacts(p, r, self.skin)
             self.rebuilds += 1
         return _touching(p, self._i, self._j, self._reach)
 
@@ -244,7 +251,7 @@ def total_overlap(positions, radii, *, contacts: Optional[Contacts] = None) -> f
     """
     p = _as_points(positions)
     r = _as_radii(radii, p)
-    i, j, d = contacts if contacts is not None else contact_pairs(p, r)
+    i, j, d, _ = contacts if contacts is not None else contact_pairs(p, r)
     if d.shape[0] == 0:
         return 0.0
     return float(lens_area_from_distance(d, r[i], r[j]).sum())
@@ -260,7 +267,7 @@ def total_overlaps(radii, contacts: Sequence[Contacts]) -> list[float]:
     padded 2-D sums round differently).
     """
     r = np.asarray(radii, dtype=float)
-    i, j, d = (np.concatenate(column) for column in zip(*contacts))
+    i, j, d, _ = (np.concatenate(column) for column in zip(*contacts))
     areas = lens_area_from_distance(d, r[i], r[j])
     totals = []
     start = 0
@@ -292,6 +299,28 @@ def cg_offset(cg) -> float:
 def cg_violation(positions, masses) -> float:
     """Distance of the layout's gravity center from the origin."""
     return cg_offset(center_of_gravity(positions, masses))
+
+
+class FarEdges(NamedTuple):
+    """A layout's origin distances |p_i|, far edges |p_i| + r_i and their maximum.
+
+    ``far_max`` is NaN when any far edge is.
+    """
+
+    dist: np.ndarray
+    far: np.ndarray
+    far_max: float
+
+
+def far_edges(positions, radii) -> FarEdges:
+    """The FarEdges of a layout about the origin.
+
+    ``positions`` is a non-empty (N, 2) float array and ``radii`` an (N,)
+    one; no checks, as the solver calls this on every layout.
+    """
+    dist = row_norms(positions)
+    far = dist + radii
+    return FarEdges(dist, far, float(far.max()))
 
 
 def enclosing_radius(positions, radii, center=(0.0, 0.0)) -> float:

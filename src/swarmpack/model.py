@@ -45,6 +45,11 @@ class ProblemInstance:
         share.setflags(write=False)
         return share
 
+    @cached_property
+    def max_mass_share(self) -> float:
+        """The largest entry of ``mass_share``."""
+        return float(self.mass_share.max())
+
     def circles(self) -> list[tuple[float, float]]:
         return list(zip(self.radii.tolist(), self.masses.tolist()))
 

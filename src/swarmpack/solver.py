@@ -3,16 +3,24 @@
 One iteration: assemble forces against the current target radius (container
 anchored at the origin), step the dynamics, then judge the new layout. Each
 layout gets its contacts from the run's one NeighbourList, which reruns the
-pair search only when some circle has moved past half its skin, and one
-gravity center; both serve the evaluation that judges the layout and the
-forces of the next iteration. A layout is feasible when the enclosing radius
+pair search only when some circle has moved past half its skin, one gravity
+center, and one set of ``far_edges`` (origin distances |p_i| and far edges
+|p_i| + r_i); all three serve the evaluation that judges the layout and the
+forces of the next iteration. There the far edges serve the containment
+push, and the force-cap bound of ``forces`` (2 v_max per pair push and per
+containment push, plus the pull) skips the cap's norms on ticks where no
+circle can reach f_max. A layout is feasible when the enclosing radius
 measured about its own gravity center fits the target and its total overlap
-is inside tolerance. The evaluation runs in that order, each step only when
-the ones before leave the verdict open: gravity center, enclosing radius,
-deepest contact, then the total overlap. A layout that does not fit is
-infeasible whatever its overlap. A layout that fits but has a contact at
-least ``certain_overlap_depth`` deep is infeasible too, since that one
-lens alone exceeds the tolerance. Only the rest pay for ``total_overlap``.
+is inside tolerance. The evaluation runs in this order, each step only when
+the ones before leave the verdict open: gravity center and far edges, the
+radius floor, enclosing radius, deepest contact, then the total overlap.
+The radius floor is max(|p_i| + r_i) - |cg|, a lower bound of the enclosing
+radius since |p_i - cg| >= |p_i| - |cg|; a floor above the target plus a
+rounding margin settles that the layout does not fit, without
+``enclosing_radius``. A layout that does not fit is infeasible whatever its
+overlap. A layout that fits but has a contact at least
+``certain_overlap_depth`` deep is infeasible too, since that one lens alone
+exceeds the tolerance. Only the rest pay for ``total_overlap``.
 A layout judged without its overlap still gets its overlap row in the
 history: its contacts are queued and their lens areas computed in batches
 of about OVERLAP_FLUSH_PAIRS pairs, each row bitwise what ``total_overlap``
@@ -36,6 +44,7 @@ from .geometry import (
     center_of_gravity,
     cg_offset,
     enclosing_radius,
+    far_edges,
     total_overlap,
     total_overlaps,
 )
@@ -45,6 +54,11 @@ from .model import Hyperparameters, History, InvalidInputError, ProblemInstance,
 # Slack on the enclosing-radius comparison; keeps a ratchet step of exactly
 # target == actual from reading as infeasible through rounding.
 FEASIBLE_RADIUS_EPS = 1e-9
+
+# Far edges at or beyond this leave the verdict to enclosing_radius: there
+# |p_i - cg|, up to twice |p_i|, can overflow to inf where |p_i| did not,
+# and the solve loop must see that inf.
+RADIUS_FLOOR_LIMIT = 1e150
 
 # Milestone thresholds the result JSON and the bench report write: fractions
 # above the final radius, loosest first.
@@ -85,6 +99,17 @@ def certain_overlap_depth(instance: ProblemInstance) -> float:
     return min(smallest, (4.0 * tol / math.sqrt(0.75 * smallest)) ** (2.0 / 3.0))
 
 
+def _cannot_fit(far_max: float, cgv: float, target_radius: float) -> bool:
+    # True when the radius floor far_max - cgv settles that the enclosing
+    # radius exceeds target_radius + FEASIBLE_RADIUS_EPS. The computed
+    # radius, floor and gravity-center offset each carry a relative error of
+    # a few ulps of far_max + cgv; the margin of 1e-10 of that sum (plus the
+    # bar) covers it many times over. A NaN or inf far_max or cgv, and a
+    # far_max past RADIUS_FLOOR_LIMIT, make this False.
+    bar = target_radius + FEASIBLE_RADIUS_EPS
+    return far_max - cgv > bar + 1e-10 * (far_max + cgv + bar) and far_max < RADIUS_FLOOR_LIMIT
+
+
 def _evaluate(
     positions: np.ndarray,
     instance: ProblemInstance,
@@ -93,25 +118,27 @@ def _evaluate(
     certain_depth: float,
     contacts: Contacts,
 ):
-    # The radius test first: a layout that does not fit is infeasible
-    # whatever its overlap. Then the deepest contact: one at least
-    # certain_depth deep overlaps past the tolerance on its own. Either way
-    # the overlap is left to the caller (None). A NaN depth fails the
-    # comparison and falls through to total_overlap.
+    # The radius tests first, floor then enclosing radius: a layout that
+    # does not fit is infeasible whatever its overlap. Where the floor
+    # settles it, the floor stands in for the enclosing radius, which only
+    # the non-finite check reads on an infeasible layout. Then the deepest
+    # contact: one at least certain_depth deep overlaps past the tolerance
+    # on its own. Either way the overlap is left to the caller (None). A NaN
+    # depth fails the comparison and falls through to total_overlap.
+    r = instance.radii
     cg = center_of_gravity(positions, instance.masses)
     cgv = cg_offset(cg)
-    encl = enclosing_radius(positions, instance.radii, cg)
+    edges = far_edges(positions, r)
+    if _cannot_fit(edges.far_max, cgv, target_radius):
+        return cg, cgv, edges, edges.far_max - cgv, None, False
+    encl = enclosing_radius(positions, r, cg)
     if not encl <= target_radius + FEASIBLE_RADIUS_EPS:
-        return cg, cgv, encl, None, False
-    i, j, d = contacts
-    if d.shape[0]:
-        r = instance.radii
-        depth = r.take(i) + r.take(j)
-        depth -= d
-        if depth.max() >= certain_depth:
-            return cg, cgv, encl, None, False
-    overlap = total_overlap(positions, instance.radii, contacts=contacts)
-    return cg, cgv, encl, overlap, overlap <= overlap_tol
+        return cg, cgv, edges, encl, None, False
+    d, reach = contacts.d, contacts.reach
+    if d.shape[0] and (reach - d).max() >= certain_depth:
+        return cg, cgv, edges, encl, None, False
+    overlap = total_overlap(positions, r, contacts=contacts)
+    return cg, cgv, edges, encl, overlap, overlap <= overlap_tol
 
 
 class _OverlapQueue:
@@ -162,6 +189,7 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
     neighbours = NeighbourList(instance.radii, hp.v_max * hp.dt)
     contacts = neighbours.contacts(positions)
     cg = center_of_gravity(positions, masses)
+    edges = far_edges(positions, instance.radii)
 
     target_col, actual_col, overlap_col, cgv_col = history
     best_radius: Optional[float] = None
@@ -171,13 +199,15 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
 
     for t in range(1, hp.n_it + 1):
         target = schedule.target_radius
-        forces = assemble_forces(positions, velocities, instance, target, hp, contacts, cg)
+        forces = assemble_forces(positions, velocities, instance, target, hp, contacts, cg, edges)
         try:
             positions, velocities = integrate_step(positions, velocities, forces, masses, hp)
         except InvalidInputError as exc:
             raise InvalidInputError(f"iteration {t}: {exc}") from None
         contacts = neighbours.contacts(positions)
-        cg, cgv, encl, overlap, feasible = _evaluate(positions, instance, target, overlap_tol, certain_depth, contacts)
+        cg, cgv, edges, encl, overlap, feasible = _evaluate(
+            positions, instance, target, overlap_tol, certain_depth, contacts
+        )
         if not (math.isfinite(encl) and math.isfinite(cgv)):
             raise InvalidInputError(
                 f"layout turned non-finite at iteration {t} (enclosing radius {encl!r}, "

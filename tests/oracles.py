@@ -73,9 +73,10 @@ def fd_cg_gradient(i, positions, masses, step=1e-6):
 
 
 def all_pairs_contacts(positions, radii, skin=0.0):
-    """Every pair i < j with d < r_i + r_j + skin, as (i, j, d) sorted by (i, j).
+    """Every pair i < j with d < r_i + r_j + skin, as (i, j, d, reach) sorted by (i, j).
 
-    Tests all N(N-1)/2 pairs with the library's distance arithmetic, so the
+    ``reach`` is each pair's radius sum r_i + r_j, without the skin. Tests
+    all N(N-1)/2 pairs with the library's distance arithmetic, so the
     sweep's contacts must equal these bitwise.
     """
     p = np.asarray(positions, dtype=float)
@@ -83,8 +84,9 @@ def all_pairs_contacts(positions, radii, skin=0.0):
     i, j = np.triu_indices(p.shape[0], k=1)
     diff = p[j] - p[i]
     d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
-    hit = d < (r[i] + r[j]) + skin
-    return i[hit], j[hit], d[hit]
+    reach = r[i] + r[j]
+    hit = d < reach + skin
+    return i[hit], j[hit], d[hit], reach[hit]
 
 
 # Per-circle force formulas, one contribution at a time, as written in the

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmpack import geometry
+from swarmpack import forces, geometry
 from swarmpack.geometry import (
     NeighbourList,
     center_of_gravity,
@@ -246,6 +246,23 @@ def test_neighbour_list_rebuilds_on_non_finite_states():
             assert neighbours.rebuilds - before == 2
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_contacts_carry_each_radius_sum_bitwise():
+    # reach is radii[i] + radii[j] to the bit, from the stateless search, a
+    # NeighbourList rebuild and a call that reuses the list, as from the
+    # all-pairs reference.
+    rng = np.random.default_rng(21)
+    for positions, radii in broad_phase_layouts():
+        neighbours = NeighbourList(radii, 1.0)
+        found = [contact_pairs(positions, radii), all_pairs_contacts(positions, radii), neighbours.contacts(positions)]
+        moved = positions + 0.25 * neighbours.skin * unit_vectors(rng, len(radii))
+        found.append(neighbours.contacts(moved))
+        if np.isfinite(positions).all():
+            assert neighbours.rebuilds == 1
+        for i, j, _, reach in found:
+            assert reach.tobytes() == (radii[i] + radii[j]).tobytes()
+
+
 def test_neighbour_list_without_a_skin_searches_every_call():
     radii = np.ones(3)
     positions = np.array([[0.0, 0.0], [1.5, 0.0], [9.0, 0.0]])
@@ -449,6 +466,75 @@ def test_overlap_pushes_conserve_momentum_at_rest():
     hp = Hyperparameters(f_max=1e9, v_max=3.0)
     total = forces_of(state, inst, 100.0, hp)
     assert np.abs(total.sum(axis=0)).max() <= 1e-9
+
+
+def aligned_pushes(n_partners, v_max):
+    # Circle 0 (radius 10, most of the mass) reaches x = 30, past a target
+    # of 25, and moves outward at v_max, with small partners just beyond it
+    # on a narrow arc, apart from each other. Its pushes and pull all point
+    # nearly along -x, so its force comes close to the cap bound.
+    angles = 0.12 * (np.arange(n_partners) - 0.5 * (n_partners - 1))
+    partners = np.stack([20.0 + 10.2 * np.cos(angles), 10.2 * np.sin(angles)], axis=1)
+    positions = np.vstack([[20.0, 0.0], partners])
+    velocities = np.zeros_like(positions)
+    velocities[0] = [v_max, 0.0]
+    inst = make_instance([10.0] + [0.5] * n_partners, [100.0] + [1.0] * n_partners)
+    return (positions, velocities), inst
+
+
+def cap_flip(n_pairs, inst, v_max, alpha):
+    # The smallest f_max at which _cap_cannot_bind skips the cap, by bisection.
+    def skips(f_max):
+        return forces._cap_cannot_bind(n_pairs, inst, Hyperparameters(f_max=f_max, v_max=v_max, alpha=alpha))
+
+    lo, hi = 1.0, 1e6
+    assert not skips(lo) and skips(hi)
+    while np.nextafter(lo, np.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if skips(mid) else (mid, hi)
+    return hi
+
+
+def test_the_cap_bound_gives_the_forces_of_the_full_cap(monkeypatch):
+    # f_max a few ulps either side of where the bound starts to skip the
+    # cap, on states whose largest force comes close to the bound, and on
+    # random states whose speeds reach v_max: the forces must equal,
+    # bitwise, those of the path that always takes the norms.
+    v_max, alpha = 2.0, 11.0
+    skipped = taken = 0
+    cases = [(*aligned_pushes(k, v_max), 25.0) for k in (1, 2, 5)]
+    rng = np.random.default_rng(22)
+    for _ in range(12):
+        state, inst = random_setup(rng, int(rng.integers(2, 30)), spread=2.0)
+        speeds = np.hypot(*state[1].T)[:, None]
+        cases.append(((state[0], state[1] / speeds * v_max * rng.uniform(0.5, 1.0)), inst, 3.0))
+    for state, inst, target in cases:
+        n_pairs = find_overlap_pairs(inst.radii, contact_pairs(state[0], inst.radii)).shape[0] // 2
+        flip = cap_flip(n_pairs, inst, v_max, alpha)
+        below = [flip]
+        for _ in range(4):
+            below.append(np.nextafter(below[-1], 0.0))
+        above = [flip, *(flip + k * (np.nextafter(flip, np.inf) - flip) for k in (1, 2, 3))]
+        for f_max in sorted(set(below + above)):
+            hp = Hyperparameters(f_max=f_max, v_max=v_max, alpha=alpha)
+            skips = forces._cap_cannot_bind(n_pairs, inst, hp)
+            assert skips == (f_max >= flip)
+            bounded = forces_of(state, inst, target, hp)
+            with monkeypatch.context() as m:
+                m.setattr(forces, "_cap_cannot_bind", lambda *args: False)
+                full = forces_of(state, inst, target, hp)
+            assert bounded.tobytes() == full.tobytes()
+            skipped += skips
+            taken += not skips
+    # The aligned states come within 2% of the bound: each partner touches
+    # circle 0 only.
+    for state, inst, target in cases[:3]:
+        hp = Hyperparameters(f_max=1e9, v_max=v_max, alpha=alpha)
+        n_pairs = find_overlap_pairs(inst.radii, contact_pairs(state[0], inst.radii)).shape[0] // 2
+        assert n_pairs == inst.n - 1
+        top = np.hypot(*forces_of(state, inst, target, hp).T).max()
+        assert top > 0.98 * cap_flip(n_pairs, inst, v_max, alpha)
+    assert skipped and taken
 
 
 def test_assembled_norms_respect_the_cap():

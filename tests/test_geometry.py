@@ -122,7 +122,7 @@ def test_total_overlap_sums_pairwise_lens_areas():
                 disk(positions[i, 0], positions[i, 1], radii[i]),
                 disk(positions[j, 0], positions[j, 1], radii[j]),
             )
-            for i, j, _ in zip(*all_pairs_contacts(positions, radii))
+            for i, j, *_ in zip(*all_pairs_contacts(positions, radii))
         ]
         assert total_overlap(positions, radii) == np.sum(areas)
 
@@ -150,7 +150,7 @@ def test_batched_lens_areas_equal_each_layout_bitwise():
     # own call, and np.sum over the layout's slice gives its total_overlap.
     radii, layouts = batch_layouts()
     contacts = [contact_pairs(p, radii) for p in layouts]
-    i, j, d = (np.concatenate(column) for column in zip(*contacts))
+    i, j, d, _ = (np.concatenate(column) for column in zip(*contacts))
     batched = lens_area_from_distance(d, radii[i], radii[j])
     start = 0
     for positions, c in zip(layouts, contacts):

@@ -248,7 +248,7 @@ def test_a_contact_at_the_certain_depth_overlaps_past_the_tolerance():
             depths += list(certain * np.logspace(0.0, math.log10(full / certain), 12))
             for depth in depths:
                 positions = pair_at_depth(rng, r_a, r_b, depth)
-                i, j, d = contact_pairs(positions, [r_a, r_b])
+                d = contact_pairs(positions, [r_a, r_b]).d
                 if not (d.shape[0] and r_a + r_b - d[0] >= certain):
                     continue
                 checked += 1
@@ -314,6 +314,132 @@ def test_overlap_rows_do_not_depend_on_the_depth_rule(monkeypatch, name, n_it):
     assert not np.isnan(default.history.overlap).any()
     # The rule fired: some layout that fit skipped total_overlap.
     assert 0 < with_rule < len(calls) - with_rule
+
+
+def count_verdicts(monkeypatch, module, name):
+    # Wrap a bound helper so that each verdict it gives is counted.
+    counts = {True: 0, False: 0}
+    original = getattr(module, name)
+
+    def counting(*args):
+        verdict = original(*args)
+        counts[verdict] += 1
+        return verdict
+
+    monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, n_it, seed, tunables",
+    [
+        ("I1", 3000, 2, {}),
+        ("II1", 1000, 2, {}),
+        # The cap bound settles about a third of the ticks here, and the cap
+        # scales some rows on 11 others (at the defaults it settles every I1
+        # tick).
+        ("I1", 3000, 0, {"alpha": 1.0, "f_max": 4.5}),
+    ],
+)
+def test_the_bounds_never_change_a_result(monkeypatch, name, n_it, seed, tunables):
+    # The radius floor and the force-cap bound only skip work: with both
+    # helpers patched to settle nothing, every History column and the
+    # result JSON keep their bytes.
+    inst = CORPUS.get(name)
+    hp = Hyperparameters(n_it=n_it, seed=seed, **tunables)
+    floor = count_verdicts(monkeypatch, solver, "_cannot_fit")
+    cap = count_verdicts(monkeypatch, forces, "_cap_cannot_bind")
+    capped = []
+    assemble = solver.assemble_forces
+
+    def noting_the_cap(*args):
+        total = assemble(*args)
+        capped.append(bool((np.hypot(*total.T) >= hp.f_max * (1.0 - 1e-12)).any()))
+        return total
+
+    monkeypatch.setattr(solver, "assemble_forces", noting_the_cap)
+    bounded = solve(inst, hp)
+    monkeypatch.setattr(solver, "_cannot_fit", lambda *args: False)
+    monkeypatch.setattr(forces, "_cap_cannot_bind", lambda *args: False)
+    exact = solve(inst, hp)
+    assert format_result_json(bounded) == format_result_json(exact)
+    assert columns_bytes(bounded.history) == columns_bytes(exact.history)
+    # Both branches of each bound ran, except the cap bound on I1 at the
+    # defaults, where no tick comes near f_max.
+    assert floor[True] and floor[False]
+    assert cap[True] and (cap[False] or (name == "I1" and not tunables))
+    assert any(capped) == bool(tunables)
+
+
+def far_off_center_layouts(rng):
+    # Circles on one ray from the origin, a heavy one far out: the gravity
+    # center lies on the ray, so for the outermost circle beyond it
+    # |p - cg| = |p| - |cg| and the radius floor equals the enclosing
+    # radius up to rounding, at offsets up to 1e6 times the radii.
+    for _ in range(150):
+        n = int(rng.integers(2, 9))
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        ray = np.array([math.cos(angle), math.sin(angle)])
+        offset = float(10.0 ** rng.uniform(0.0, 6.0))
+        along = offset + np.concatenate(([0.0], rng.uniform(-20.0, 20.0, n - 1)))
+        radii = rng.uniform(0.5, 5.0, n)
+        masses = np.concatenate(([1e4], rng.uniform(1.0, 5.0, n - 1)))
+        yield along[:, None] * ray, ProblemInstance("ray", radii=radii, masses=masses)
+
+
+def test_the_radius_floor_gives_the_exact_verdict_near_the_bar(monkeypatch):
+    # Targets whose bar target + FEASIBLE_RADIUS_EPS lies a few ulps either
+    # side of the floor, and of the enclosing radius, and far below them:
+    # the verdict, and the enclosing radius of a layout that fits, equal
+    # those of the evaluation without the floor and of enclosing_radius.
+    rng = np.random.default_rng(2020)
+    fired = near = 0
+    for positions, inst in far_off_center_layouts(rng):
+        cg = geometry.center_of_gravity(positions, inst.masses)
+        floor = geometry.far_edges(positions, inst.radii).far_max - geometry.cg_offset(cg)
+        exact = enclosing_radius(positions, inst.radii, cg)
+        targets = [0.5 * floor]
+        for edge in (floor, exact):
+            target = edge - FEASIBLE_RADIUS_EPS
+            for step in range(-4, 5):
+                targets.append(target + step * (np.nextafter(target, np.inf) - target))
+        for target in targets:
+            with monkeypatch.context() as m:
+                settled = count_verdicts(m, solver, "_cannot_fit")
+                *_, encl, overlap, verdict = evaluate(positions, inst, target)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_cannot_fit", lambda *args: False)
+                *_, want_encl, want_overlap, want = evaluate(positions, inst, target)
+            assert (verdict, overlap) == (want, want_overlap)
+            fits = exact <= target + FEASIBLE_RADIUS_EPS
+            if fits:
+                assert encl == want_encl == exact
+            fired += settled[True]
+            near += target != targets[0] and settled[False]
+            assert not (fits and settled[True])
+    assert fired >= 150 and near > 2000
+
+
+def test_the_radius_floor_never_settles_a_non_finite_layout():
+    # A NaN or inf far edge or gravity-center offset fails the floor test.
+    for far_max, cgv in ((math.nan, 0.0), (math.inf, 0.0), (1e3, math.nan), (math.inf, math.inf), (1e3, math.inf)):
+        assert not solver._cannot_fit(far_max, cgv, 1.0)
+    # |p| stays below the float limit, but the gravity center on the other
+    # side puts |p - cg| past it: the floor leaves the layout to
+    # enclosing_radius, whose inf the solve loop reports.
+    inst = ProblemInstance("far", radii=[1.0, 1.0], masses=[1.0, 1000.0])
+    positions = np.array([[1.3e154, 0.0], [-1.3e154, 0.0]])
+    with np.errstate(over="ignore"):
+        assert evaluate(positions, inst, 1.0)[-3] == math.inf
+
+
+def test_solve_stops_when_the_layout_overflows():
+    # Speeds stay finite, but a tick's step (speed times dt) overflows: the
+    # far edges turn inf, which the floor leaves to the exact test, and the
+    # run stops at once.
+    hp = Hyperparameters(v_max=1e200, dt=1e160, f_max=1e-10)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError, match="non-finite at iteration 1 "):
+        solve(CORPUS.get("I1"), hp)
 
 
 def test_gravity_center_is_computed_once_per_layout(monkeypatch):
