@@ -9,17 +9,17 @@ from .model import Hyperparameters, InvalidInputError
 
 
 def integrate_step(
-    positions: np.ndarray, velocities: np.ndarray, forces, masses, hp: Hyperparameters
+    positions: np.ndarray, velocities: np.ndarray, forces: np.ndarray, masses: np.ndarray, hp: Hyperparameters
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the swarm one tick and return the new (positions, velocities).
 
     Velocities update first and positions move with the *new* velocity; the
     speed clamp afterwards keeps any single tick from teleporting a circle
     across the container. A speed that overflows to inf has no direction
-    left to clamp to and raises InvalidInputError. ``masses`` is the
-    instance's positive float array.
+    left to clamp to and raises InvalidInputError. ``forces`` is an (N, 2)
+    array and ``masses`` the instance's positive float array.
     """
-    vel = np.asarray(forces, dtype=float) / masses[:, None]
+    vel = forces / masses[:, None]
     vel *= hp.dt
     vel += velocities
     speed = row_norms(vel)

@@ -226,12 +226,14 @@ class NeighbourList:
         self._i = self._j = self._reach = None
         self.rebuilds = 0
 
-    def contacts(self, positions) -> Contacts:
-        p = _as_points(positions)
-        r = _as_radii(self.radii, p)
+    def contacts(self, p: np.ndarray) -> Contacts:
+        """Bitwise ``contact_pairs(p, radii)``, without its checks: ``contact_pairs`` is the checked entry.
+
+        ``p`` is an (N, 2) float array, as ``solve`` passes on every layout.
+        """
         if self._anchor is None or self._moved_past_skin(p):
             self._anchor = p.copy()
-            self._i, self._j, _, self._reach = _sweep_contacts(p, r, self.skin)
+            self._i, self._j, _, self._reach = _sweep_contacts(p, self.radii, self.skin)
             self.rebuilds += 1
         return _touching(p, self._i, self._j, self._reach)
 
@@ -251,28 +253,27 @@ def total_overlap(positions, radii, *, contacts: Optional[Contacts] = None) -> f
     """
     p = _as_points(positions)
     r = _as_radii(radii, p)
-    i, j, d, _ = contacts if contacts is not None else contact_pairs(p, r)
-    if d.shape[0] == 0:
-        return 0.0
-    return float(lens_area_from_distance(d, r[i], r[j]).sum())
+    found = contacts if contacts is not None else contact_pairs(p, r)
+    # Most layouts a solve sends here have no contacts, and the lens kernel
+    # on empty arrays costs some 40 times this early return.
+    return total_overlaps(r, [found])[0] if found[2].shape[0] else 0.0
 
 
 def total_overlaps(radii, contacts: Sequence[Contacts]) -> list[float]:
     """``total_overlap`` of several layouts of one swarm, from one lens-area call.
 
-    ``contacts`` holds one or more layouts' contact pairs. Every total is
-    bitwise what ``total_overlap`` gives that layout: the lens kernel rounds
-    each element alike whatever the array around it, and each layout's areas
-    are summed by ``np.sum`` over its own slice (``np.add.reduceat`` and
-    padded 2-D sums round differently).
+    ``contacts`` holds one or more layouts' contact pairs. The lens kernel
+    rounds each element alike whatever the array around it, and each
+    layout's areas are summed by ``np.sum`` over its own slice
+    (``np.add.reduceat`` and padded 2-D sums round differently).
     """
     r = np.asarray(radii, dtype=float)
-    i, j, d, _ = (np.concatenate(column) for column in zip(*contacts))
-    areas = lens_area_from_distance(d, r[i], r[j])
+    i, j, d, _ = zip(*contacts)
+    areas = lens_area_from_distance(np.concatenate(d), r[np.concatenate(i)], r[np.concatenate(j)])
     totals = []
     start = 0
-    for c in contacts:
-        end = start + c.d.shape[0]
+    for layout_d in d:
+        end = start + layout_d.shape[0]
         totals.append(float(areas[start:end].sum()))
         start = end
     return totals

@@ -11,15 +11,12 @@ from .model import Hyperparameters
 STAGNATION_FRACTION = 0.10
 
 
-def step_size(t: int, hp: Hyperparameters, *, stagnation_active: bool = False) -> float:
+def step_size(t: int, hp: Hyperparameters) -> float:
     """Shrink step applied after a feasible iteration.
 
-    Decays from s_max at t=0 toward s_min as t grows; while stagnation is
-    active the finest step is used instead. Arranged as a lerp so t=0
-    yields s_max exactly.
+    Decays from s_max at t=0 toward s_min as t grows. Arranged as a lerp so
+    t=0 yields s_max exactly.
     """
-    if stagnation_active:
-        return hp.s_min
     decay = math.exp(t * math.log(1.0 / (1.0 + hp.c / hp.n_it)))
     return hp.s_max * decay + hp.s_min * (1.0 - decay)
 
@@ -35,11 +32,11 @@ class ContainerSchedule:
     def on_feasible(self, actual_radius: float, t: int, hp: Hyperparameters) -> None:
         """Ratchet the target below the latest feasible radius.
 
-        The step is taken while the stagnation flag still holds its old
-        value, so the first success after a stagnation episode advances by
-        s_min before the schedule resumes its decay curve.
+        The step is s_min while stagnation is active, else ``step_size``; the
+        flag still holds its old value here, so the first success after a
+        stagnation episode advances by s_min before the decay curve resumes.
         """
-        step = step_size(t, hp, stagnation_active=self.stagnation_active)
+        step = hp.s_min if self.stagnation_active else step_size(t, hp)
         new_target = actual_radius - step
         self.target_radius = new_target if new_target > 0.0 else hp.s_min
         self.stagnation_counter = 0

@@ -21,6 +21,8 @@ rounding margin settles that the layout does not fit, without
 overlap. A layout that fits but has a contact at least
 ``certain_overlap_depth`` deep is infeasible too, since that one lens alone
 exceeds the tolerance. Only the rest pay for ``total_overlap``.
+The initial layout goes through the same evaluation, against the starting
+target, and serves the first tick's forces; its verdict is not recorded.
 A layout judged without its overlap still gets its overlap row in the
 history: its contacts are queued and their lens areas computed in batches
 of about OVERLAP_FLUSH_PAIRS pairs, each row bitwise what ``total_overlap``
@@ -116,7 +118,7 @@ def _evaluate(
     target_radius: float,
     overlap_tol: float,
     certain_depth: float,
-    contacts: Contacts,
+    neighbours: NeighbourList,
 ):
     # The radius tests first, floor then enclosing radius: a layout that
     # does not fit is infeasible whatever its overlap. Where the floor
@@ -126,19 +128,18 @@ def _evaluate(
     # on its own. Either way the overlap is left to the caller (None). A NaN
     # depth fails the comparison and falls through to total_overlap.
     r = instance.radii
+    contacts = neighbours.contacts(positions)
     cg = center_of_gravity(positions, instance.masses)
     cgv = cg_offset(cg)
     edges = far_edges(positions, r)
     if _cannot_fit(edges.far_max, cgv, target_radius):
-        return cg, cgv, edges, edges.far_max - cgv, None, False
+        return contacts, cg, cgv, edges, edges.far_max - cgv, None, False
     encl = enclosing_radius(positions, r, cg)
-    if not encl <= target_radius + FEASIBLE_RADIUS_EPS:
-        return cg, cgv, edges, encl, None, False
-    d, reach = contacts.d, contacts.reach
-    if d.shape[0] and (reach - d).max() >= certain_depth:
-        return cg, cgv, edges, encl, None, False
+    d = contacts.d
+    if not encl <= target_radius + FEASIBLE_RADIUS_EPS or (d.shape[0] and (contacts.reach - d).max() >= certain_depth):
+        return contacts, cg, cgv, edges, encl, None, False
     overlap = total_overlap(positions, r, contacts=contacts)
-    return cg, cgv, edges, encl, overlap, overlap <= overlap_tol
+    return contacts, cg, cgv, edges, encl, overlap, overlap <= overlap_tol
 
 
 class _OverlapQueue:
@@ -187,9 +188,9 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
     certain_depth = certain_overlap_depth(instance)
     masses = instance.masses
     neighbours = NeighbourList(instance.radii, hp.v_max * hp.dt)
-    contacts = neighbours.contacts(positions)
-    cg = center_of_gravity(positions, masses)
-    edges = far_edges(positions, instance.radii)
+    contacts, cg, _, edges, *_ = _evaluate(
+        positions, instance, schedule.target_radius, overlap_tol, certain_depth, neighbours
+    )
 
     target_col, actual_col, overlap_col, cgv_col = history
     best_radius: Optional[float] = None
@@ -204,9 +205,8 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
             positions, velocities = integrate_step(positions, velocities, forces, masses, hp)
         except InvalidInputError as exc:
             raise InvalidInputError(f"iteration {t}: {exc}") from None
-        contacts = neighbours.contacts(positions)
-        cg, cgv, edges, encl, overlap, feasible = _evaluate(
-            positions, instance, target, overlap_tol, certain_depth, contacts
+        contacts, cg, cgv, edges, encl, overlap, feasible = _evaluate(
+            positions, instance, target, overlap_tol, certain_depth, neighbours
         )
         if not (math.isfinite(encl) and math.isfinite(cgv)):
             raise InvalidInputError(

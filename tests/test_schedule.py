@@ -40,7 +40,9 @@ def test_larger_c_decays_faster():
 def test_stagnation_forces_finest_step():
     hp = Hyperparameters(s_max=2.0, s_min=0.01, c=10.0, n_it=500)
     for t in (0, 3, 400):
-        assert step_size(t, hp, stagnation_active=True) == hp.s_min
+        schedule = ContainerSchedule(target_radius=100.0, stagnation_counter=99, stagnation_active=True)
+        schedule.on_feasible(80.0, t, hp)
+        assert schedule.target_radius == 80.0 - hp.s_min
 
 
 def test_on_feasible_ratchets_below_actual():

@@ -49,11 +49,12 @@ DEEP_PAIR_SEED = 6
 
 
 def evaluate(positions, instance, target_radius):
-    # The per-layout evaluation solve runs after every tick.
+    # The per-layout evaluation solve runs on every layout. Without a skin
+    # the NeighbourList searches every call, giving contact_pairs' bytes.
     positions = np.asarray(positions, dtype=float)
-    contacts = contact_pairs(positions, instance.radii)
+    neighbours = geometry.NeighbourList(instance.radii, 0.0)
     tol, depth = overlap_tolerance(instance), certain_overlap_depth(instance)
-    return solver._evaluate(positions, instance, target_radius, tol, depth, contacts)
+    return solver._evaluate(positions, instance, target_radius, tol, depth, neighbours)
 
 
 def is_feasible(positions, instance, target_radius):
@@ -443,25 +444,29 @@ def test_solve_stops_when_the_layout_overflows():
 
 
 def test_gravity_center_is_computed_once_per_layout(monkeypatch):
-    calls = {"solver": 0, "forces": 0}
+    calls = {"solver": 0, "forces": 0, "evaluate": 0, "contacts": 0}
 
-    def counting(module, key):
-        original = module.center_of_gravity
+    def counting(owner, name, key):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[key] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "center_of_gravity", wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counting(solver, "solver")
-    counting(forces, "forces")
+    counting(solver, "center_of_gravity", "solver")
+    counting(forces, "center_of_gravity", "forces")
+    counting(solver, "_evaluate", "evaluate")
+    counting(geometry.NeighbourList, "contacts", "contacts")
     hp = Hyperparameters(n_it=60, seed=1)
     result = solve(ProblemInstance("trio", radii=[2.0, 1.0, 1.5], masses=[4.0, 1.0, 2.0]), hp)
     assert result.feasible
-    # The initial layout and the layout after each tick; the best layout is
-    # re-centered with the gravity center of its own tick.
-    assert calls == {"solver": hp.n_it + 1, "forces": 0}
+    # The initial layout and the layout after each tick, each judged by one
+    # evaluation; the best layout is re-centered with the gravity center of
+    # its own tick.
+    n = hp.n_it + 1
+    assert calls == {"solver": n, "forces": 0, "evaluate": n, "contacts": n}
 
 
 def test_speed_overflow_stops_the_run():
