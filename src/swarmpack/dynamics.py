@@ -23,7 +23,7 @@ def integrate_step(
     vel *= hp.dt
     vel += velocities
     speed = row_norms(vel)
-    top = speed.max()
+    top = np.maximum.reduce(speed)
     if top > hp.v_max:
         if top == np.inf:
             raise InvalidInputError("speed overflowed to inf; check the dt, f_max and v_max scales")

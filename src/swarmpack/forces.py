@@ -18,9 +18,11 @@ force-cap bound stays below f_max skips the cap, norms included: every
 push has norm at most 2 v_max, since speeds are at most v_max, and the pull
 at most alpha times the largest mass share. A circle has at most H
 partners when the layout has H overlapping pairs, so no row exceeds
-2 v_max (H + 1) plus that pull. The containment test and push take the
-layout's origin distances and far edges from ``far_edges``, which the
-solver's evaluation has already computed for the same layout.
+2 v_max (H + 1) plus that pull. The pair push divides by the pair's
+center distance from ``contacts``, bitwise the norm of either push vector
+(fl(a - b) is -fl(b - a), so both square alike). The containment test and
+push take the layout's origin distances and far edges from ``far_edges``.
+The solver's evaluation has already computed both for the same layout.
 """
 
 from __future__ import annotations
@@ -86,10 +88,15 @@ def assemble_forces(
 
     pairs = find_overlap_pairs(r, contacts)
     if pairs.shape[0]:
+        # The center distances of find_overlap_pairs' hits, once for the
+        # (j, i) rows and once for the (i, j) rows. Unpacked by position: a
+        # plain (i, j, d, reach) tuple serves as contacts too.
+        _, _, d, reach = contacts
+        d = d[d < reach - OVERLAP_TRIGGER_EPS]
+        dist = np.concatenate((d, d))
+        dist += EPSILON
         src = pairs[:, 0]
         push = p.take(pairs[:, 1], 0) - p.take(src, 0)
-        dist = row_norms(push)
-        dist += EPSILON
         push /= dist[:, None]
         push *= -hp.v_max
         push -= v.take(src, 0)
@@ -115,7 +122,7 @@ def assemble_forces(
         push = p / (edges.dist + EPSILON)[:, None]
         push *= -hp.v_max
         push -= v
-        push[inside] = 0.0
+        np.copyto(push, 0.0, where=inside[:, None])
         total += push
 
     if _cap_cannot_bind(pairs.shape[0] // 2, instance, hp):
@@ -123,7 +130,7 @@ def assemble_forces(
     norms = row_norms(total)
     # Written so that a NaN norm also takes the branch, which then scales
     # exactly the rows at or above the cap.
-    if not norms.max() < hp.f_max:
+    if not np.maximum.reduce(norms) < hp.f_max:
         over = norms >= hp.f_max
         total[over] *= (hp.f_max / norms[over])[:, None]
     return total

@@ -202,13 +202,14 @@ class NeighbourList:
 
     A rebuild runs the ``contact_pairs`` sweep with every window widened by
     ``skin`` and keeps every pair with d < r_i + r_j + skin, in (i, j)
-    order, with its radius sum r_i + r_j and the positions it saw. Each call
-    re-filters those candidates against their sums with the same distance
-    arithmetic as ``contact_pairs``, so it returns bitwise the same
-    Contacts. The list is exact while no circle has moved more than
-    skin / 2 since the rebuild: two circles then close at most skin. A
-    call that finds a larger displacement, or a non-finite one, rebuilds
-    first. ``travel`` is the farthest a circle moves per tick.
+    order, with its radius sum r_i + r_j and the positions it saw. Each
+    ``layout`` call re-filters those candidates against their sums with the
+    same distance arithmetic as ``contact_pairs``, so it returns bitwise the
+    same Contacts, and the layout's FarEdges from the same pass. The list
+    is exact while no circle has moved more than skin / 2 since the
+    rebuild: two circles then close at most skin. A call that finds a
+    larger displacement, or a non-finite one, rebuilds first. ``travel`` is
+    the farthest a circle moves per tick.
     """
 
     def __init__(self, radii, travel: float):
@@ -226,23 +227,44 @@ class NeighbourList:
         self._i = self._j = self._reach = None
         self.rebuilds = 0
 
-    def contacts(self, p: np.ndarray) -> Contacts:
-        """Bitwise ``contact_pairs(p, radii)``, without its checks: ``contact_pairs`` is the checked entry.
+    def layout(self, p: np.ndarray) -> tuple[Contacts, FarEdges]:
+        """Bitwise ``(contact_pairs(p, radii), far_edges(p, radii))``, without their checks.
 
-        ``p`` is an (N, 2) float array, as ``solve`` passes on every layout.
+        ``p`` is a non-empty (N, 2) float array, as ``solve`` passes on
+        every layout; ``contact_pairs`` and ``far_edges`` are the checked
+        entries. One stacked array holds the rows p, the moves p - anchor
+        since the last rebuild and the candidates' differences p_j - p_i.
+        One square, add and sqrt over it give the origin distances, the
+        squared moves of the skin check and the center distances, each
+        element rounded as ``row_norms`` rounds it in an array of its own.
         """
-        if self._anchor is None or self._moved_past_skin(p):
+        n = p.shape[0]
+        sq = None if self._anchor is None else self._squared_rows(p)
+        # Written so that NaN, from a NaN or inf position, also rebuilds.
+        # Right after a rebuild the moves are not checked: those of a NaN
+        # layout stay NaN and would rebuild again.
+        if sq is None or not np.maximum.reduce(sq[n : 2 * n]) <= self._limit_sq:
             self._anchor = p.copy()
             self._i, self._j, _, self._reach = _sweep_contacts(p, self.radii, self.skin)
             self.rebuilds += 1
-        return _touching(p, self._i, self._j, self._reach)
+            sq = self._squared_rows(p)
+        norms = np.sqrt(sq)
+        dist = norms[:n]
+        far = dist + self.radii
+        d = norms[2 * n :]
+        hit = d < self._reach
+        return (
+            Contacts(self._i[hit], self._j[hit], d[hit], self._reach[hit]),
+            FarEdges(dist, far, float(np.maximum.reduce(far))),
+        )
 
-    def _moved_past_skin(self, p) -> bool:
-        step = p - self._anchor
-        step *= step
-        moved = step[:, 0] + step[:, 1]
-        # Written so that NaN, from a NaN or inf position, also rebuilds.
-        return moved.size > 0 and not moved.max() <= self._limit_sq
+    def _squared_rows(self, p):
+        # x * x + y * y of the rows p, p - anchor and p_j - p_i, stacked in
+        # that order; take gathers the same rows as p[j], without fancy
+        # indexing's overhead.
+        rows = np.concatenate((p, p - self._anchor, p.take(self._j, 0) - p.take(self._i, 0)))
+        rows *= rows
+        return rows[:, 0] + rows[:, 1]
 
 
 def total_overlap(positions, radii, *, contacts: Optional[Contacts] = None) -> float:
@@ -264,8 +286,8 @@ def total_overlaps(radii, contacts: Sequence[Contacts]) -> list[float]:
 
     ``contacts`` holds one or more layouts' contact pairs. The lens kernel
     rounds each element alike whatever the array around it, and each
-    layout's areas are summed by ``np.sum`` over its own slice
-    (``np.add.reduceat`` and padded 2-D sums round differently).
+    layout's areas are summed by ``np.add.reduce`` (as ``np.sum``) over its
+    own slice (``np.add.reduceat`` and padded 2-D sums round differently).
     """
     r = np.asarray(radii, dtype=float)
     i, j, d, _ = zip(*contacts)
@@ -274,21 +296,26 @@ def total_overlaps(radii, contacts: Sequence[Contacts]) -> list[float]:
     start = 0
     for layout_d in d:
         end = start + layout_d.shape[0]
-        totals.append(float(areas[start:end].sum()))
+        totals.append(float(np.add.reduce(areas[start:end])))
         start = end
     return totals
 
 
-def center_of_gravity(positions, masses) -> np.ndarray:
-    """Mass-weighted mean position, as a (2,) array."""
+def center_of_gravity(positions, masses, total: Optional[float] = None) -> np.ndarray:
+    """Mass-weighted mean position, as a (2,) array.
+
+    ``total`` is the sum of ``masses``, when the caller has it cached
+    (``ProblemInstance.total_mass``); otherwise it is summed here.
+    """
     p = _as_points(positions)
     m = np.asarray(masses, dtype=float)
     if m.ndim != 1 or m.shape[0] != p.shape[0] or p.shape[0] == 0:
         raise InvalidGeometryError("positions and masses lengths differ or are empty")
-    total = m.sum()
+    if total is None:
+        total = np.add.reduce(m)
     if not total > 0.0:
         raise InvalidGeometryError("total mass must be positive")
-    return (m[:, None] * p).sum(axis=0) / total
+    return np.add.reduce(m[:, None] * p, axis=0) / total
 
 
 def cg_offset(cg) -> float:
@@ -321,7 +348,7 @@ def far_edges(positions, radii) -> FarEdges:
     """
     dist = row_norms(positions)
     far = dist + radii
-    return FarEdges(dist, far, float(far.max()))
+    return FarEdges(dist, far, float(np.maximum.reduce(far)))
 
 
 def enclosing_radius(positions, radii, center=(0.0, 0.0)) -> float:
@@ -333,4 +360,4 @@ def enclosing_radius(positions, radii, center=(0.0, 0.0)) -> float:
     c = np.asarray(center, dtype=float).reshape(2)
     reach = row_norms(p - c)
     reach += r
-    return float(reach.max())
+    return float(np.maximum.reduce(reach))

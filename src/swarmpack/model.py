@@ -39,9 +39,14 @@ class ProblemInstance:
         return int(self.radii.shape[0])
 
     @cached_property
+    def total_mass(self) -> float:
+        """The sum of ``masses``, as ``center_of_gravity`` would sum them."""
+        return float(self.masses.sum())
+
+    @cached_property
     def mass_share(self) -> np.ndarray:
         """Each circle's fraction of the total mass, as a read-only (N, 1) column."""
-        share = (self.masses / self.masses.sum())[:, None]
+        share = (self.masses / self.total_mass)[:, None]
         share.setflags(write=False)
         return share
 

@@ -2,25 +2,28 @@
 
 One iteration: assemble forces against the current target radius (container
 anchored at the origin), step the dynamics, then judge the new layout. Each
-layout gets its contacts from the run's one NeighbourList, which reruns the
-pair search only when some circle has moved past half its skin, one gravity
-center, and one set of ``far_edges`` (origin distances |p_i| and far edges
-|p_i| + r_i); all three serve the evaluation that judges the layout and the
-forces of the next iteration. There the far edges serve the containment
-push, and the force-cap bound of ``forces`` (2 v_max per pair push and per
-containment push, plus the pull) skips the cap's norms on ticks where no
-circle can reach f_max. A layout is feasible when the enclosing radius
-measured about its own gravity center fits the target and its total overlap
-is inside tolerance. The evaluation runs in this order, each step only when
-the ones before leave the verdict open: gravity center and far edges, the
-radius floor, enclosing radius, deepest contact, then the total overlap.
-The radius floor is max(|p_i| + r_i) - |cg|, a lower bound of the enclosing
-radius since |p_i - cg| >= |p_i| - |cg|; a floor above the target plus a
-rounding margin settles that the layout does not fit, without
+layout gets its contacts and its ``far_edges`` (origin distances |p_i| and
+far edges |p_i| + r_i) from one ``layout`` pass of the run's NeighbourList,
+which reruns the pair search only when some circle has moved past half its
+skin, and one gravity center; all three serve the evaluation that judges
+the layout and the forces of the next iteration. There the contact
+distances serve the pair push, the far edges the containment push, and the
+force-cap bound of ``forces`` (2 v_max per pair push and per containment
+push, plus the pull) skips the cap's norms on ticks where no circle can
+reach f_max. A layout is feasible when the enclosing radius measured about
+its own gravity center fits the target and its total overlap is inside
+tolerance. The evaluation runs in this order, each step only when the ones
+before leave the verdict open: contacts, far edges and gravity center, the
+radius floor, the deepest contact, the enclosing radius, then the total
+overlap. The radius floor is max(|p_i| + r_i) - |cg|, a lower bound of the
+enclosing radius since |p_i - cg| >= |p_i| - |cg|; a floor above the target
+plus a rounding margin settles that the layout does not fit, without
 ``enclosing_radius``. A layout that does not fit is infeasible whatever its
-overlap. A layout that fits but has a contact at least
-``certain_overlap_depth`` deep is infeasible too, since that one lens alone
-exceeds the tolerance. Only the rest pay for ``total_overlap``.
+overlap, and so is one with a contact at least ``certain_overlap_depth``
+deep, since that one lens alone exceeds the tolerance. Where the floor or
+the deepest contact settles the verdict, the floor stands in for the
+enclosing radius. Only the layouts that pass all three pay for
+``total_overlap``.
 The initial layout goes through the same evaluation, against the starting
 target, and serves the first tick's forces; its verdict is not recorded.
 A layout judged without its overlap still gets its overlap row in the
@@ -46,7 +49,6 @@ from .geometry import (
     center_of_gravity,
     cg_offset,
     enclosing_radius,
-    far_edges,
     total_overlap,
     total_overlaps,
 )
@@ -57,9 +59,10 @@ from .model import Hyperparameters, History, InvalidInputError, ProblemInstance,
 # target == actual from reading as infeasible through rounding.
 FEASIBLE_RADIUS_EPS = 1e-9
 
-# Far edges at or beyond this leave the verdict to enclosing_radius: there
-# |p_i - cg|, up to twice |p_i|, can overflow to inf where |p_i| did not,
-# and the solve loop must see that inf.
+# Far edges at or beyond this leave the verdict to enclosing_radius, and so
+# does a non-finite gravity-center offset: there |p_i - cg|, up to twice
+# |p_i|, can overflow to inf where |p_i| did not, and the solve loop must
+# see that inf.
 RADIUS_FLOOR_LIMIT = 1e150
 
 # Milestone thresholds the result JSON and the bench report write: fractions
@@ -120,25 +123,30 @@ def _evaluate(
     certain_depth: float,
     neighbours: NeighbourList,
 ):
-    # The radius tests first, floor then enclosing radius: a layout that
-    # does not fit is infeasible whatever its overlap. Where the floor
-    # settles it, the floor stands in for the enclosing radius, which only
-    # the non-finite check reads on an infeasible layout. Then the deepest
-    # contact: one at least certain_depth deep overlaps past the tolerance
-    # on its own. Either way the overlap is left to the caller (None). A NaN
-    # depth fails the comparison and falls through to total_overlap.
-    r = instance.radii
-    contacts = neighbours.contacts(positions)
-    cg = center_of_gravity(positions, instance.masses)
+    # The radius floor first: a layout that does not fit is infeasible
+    # whatever its overlap. Then the deepest contact: one at least
+    # certain_depth deep overlaps past the tolerance on its own. Where
+    # either settles the verdict, the floor far_max - cgv stands in for the
+    # enclosing radius, which only the non-finite check reads on an
+    # infeasible layout. After a deep contact it does so only where the
+    # enclosing radius is finite too (far_max below RADIUS_FLOOR_LIMIT, a
+    # finite cgv), so the check still reports the inf or NaN of
+    # enclosing_radius. Either way the overlap is left to the caller (None).
+    # A NaN depth fails the comparison and falls through to total_overlap.
+    contacts, edges = neighbours.layout(positions)
+    cg = center_of_gravity(positions, instance.masses, instance.total_mass)
     cgv = cg_offset(cg)
-    edges = far_edges(positions, r)
-    if _cannot_fit(edges.far_max, cgv, target_radius):
-        return contacts, cg, cgv, edges, edges.far_max - cgv, None, False
-    encl = enclosing_radius(positions, r, cg)
+    far_max = edges.far_max
+    if _cannot_fit(far_max, cgv, target_radius):
+        return contacts, cg, cgv, edges, far_max - cgv, None, False
     d = contacts.d
-    if not encl <= target_radius + FEASIBLE_RADIUS_EPS or (d.shape[0] and (contacts.reach - d).max() >= certain_depth):
+    deep = d.shape[0] and np.maximum.reduce(contacts.reach - d) >= certain_depth
+    if deep and far_max < RADIUS_FLOOR_LIMIT and math.isfinite(cgv):
+        return contacts, cg, cgv, edges, far_max - cgv, None, False
+    encl = enclosing_radius(positions, instance.radii, cg)
+    if deep or not encl <= target_radius + FEASIBLE_RADIUS_EPS:
         return contacts, cg, cgv, edges, encl, None, False
-    overlap = total_overlap(positions, r, contacts=contacts)
+    overlap = total_overlap(positions, instance.radii, contacts=contacts)
     return contacts, cg, cgv, edges, encl, overlap, overlap <= overlap_tol
 
 

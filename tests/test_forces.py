@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from swarmpack import forces, geometry
+from swarmpack import forces, geometry, solver
+from swarmpack.corpus import CORPUS
 from swarmpack.geometry import (
     NeighbourList,
     center_of_gravity,
     cg_violation,
     contact_pairs,
+    far_edges,
     total_overlap,
 )
 from swarmpack.forces import CONTAINMENT_EPS, assemble_forces, cg_gradient, find_overlap_pairs
 from swarmpack.model import Hyperparameters, ProblemInstance
+from swarmpack.solver import solve
 
 from oracles import all_pairs_contacts, cg_force, fd_cg_gradient, overlap_force, radius_force, resultant_force
 
@@ -179,7 +182,12 @@ def test_sweep_keeps_the_pairs_beside_a_nan_radius():
 # ------------------------------------------------------------ neighbour list
 
 def assert_same_contacts(neighbours, positions, radii):
-    assert_bitwise_equal(neighbours.contacts(positions), contact_pairs(positions, radii))
+    # One layout pass gives contact_pairs' and far_edges' arrays, to the bit.
+    contacts, edges = neighbours.layout(positions)
+    assert_bitwise_equal(contacts, contact_pairs(positions, radii))
+    want = far_edges(positions, radii)
+    assert_bitwise_equal(edges[:2], want[:2])
+    assert np.array(edges.far_max).tobytes() == np.array(want.far_max).tobytes()
 
 
 def unit_vectors(rng, n):
@@ -221,12 +229,12 @@ def test_neighbour_list_rebuilds_before_a_head_on_pair_is_missed():
     neighbours = NeighbourList(radii, 1.0)
     gap = 2.0 + neighbours.skin * (1.0 + 1e-9)
     positions = np.array([[0.0, 0.0], [gap, 0.0]])
-    assert neighbours.contacts(positions).i.shape[0] == 0
+    assert neighbours.layout(positions)[0].i.shape[0] == 0
     for factor in (0.999, 1.001):
         shift = factor * 0.5 * neighbours.skin
         closer = positions + np.array([[shift, 0.0], [-shift, 0.0]])
         assert_same_contacts(neighbours, closer, radii)
-    assert neighbours.contacts(closer).i.tolist() == [0]
+    assert neighbours.layout(closer)[0].i.tolist() == [0]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -254,9 +262,9 @@ def test_contacts_carry_each_radius_sum_bitwise():
     rng = np.random.default_rng(21)
     for positions, radii in broad_phase_layouts():
         neighbours = NeighbourList(radii, 1.0)
-        found = [contact_pairs(positions, radii), all_pairs_contacts(positions, radii), neighbours.contacts(positions)]
+        found = [contact_pairs(positions, radii), all_pairs_contacts(positions, radii), neighbours.layout(positions)[0]]
         moved = positions + 0.25 * neighbours.skin * unit_vectors(rng, len(radii))
-        found.append(neighbours.contacts(moved))
+        found.append(neighbours.layout(moved)[0])
         if np.isfinite(positions).all():
             assert neighbours.rebuilds == 1
         for i, j, _, reach in found:
@@ -272,6 +280,41 @@ def test_neighbour_list_without_a_skin_searches_every_call():
         for _ in range(3):
             assert_same_contacts(neighbours, positions, radii)
         assert neighbours.rebuilds == 3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_one_layout_pass_gives_contact_pairs_and_far_edges_along_a_solve(monkeypatch):
+    # The layouts a solve judges, replayed through a fresh list with NaN
+    # and inf frames spliced in: every pass gives the bytes of contact_pairs
+    # and far_edges, rebuilds exactly when some move passes the skin limit
+    # (x * x + y * y against its square), and a non-finite frame, or the
+    # first frame after one, costs one rebuild and no more.
+    inst = CORPUS.get("I3")
+    hp = Hyperparameters(n_it=400, seed=1)
+    layouts = []
+    evaluate = solver._evaluate
+
+    def recording(positions, *args):
+        layouts.append(positions)
+        return evaluate(positions, *args)
+
+    monkeypatch.setattr(solver, "_evaluate", recording)
+    solve(inst, hp)
+    neighbours = NeighbourList(inst.radii, hp.v_max * hp.dt)
+    anchor = None
+    for k, positions in enumerate(layouts):
+        frames = [positions]
+        if k % 40 == 20:
+            broken = positions.copy()
+            broken[k % inst.n, k // 40 % 2] = (np.nan, np.inf, -np.inf)[k // 40 % 3]
+            frames = [broken, positions]
+        for frame in frames:
+            before = neighbours.rebuilds
+            assert_same_contacts(neighbours, frame, inst.radii)
+            rebuilt = anchor is None or not ((frame - anchor) ** 2).sum(axis=1).max() <= neighbours._limit_sq
+            assert neighbours.rebuilds - before == rebuilt
+            anchor = frame if rebuilt else anchor
+    assert len(layouts) // 20 < neighbours.rebuilds < len(layouts) // 4
 
 
 # ------------------------------------------------- per-circle formulas (oracles)

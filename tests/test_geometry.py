@@ -17,6 +17,8 @@ from swarmpack.geometry import (
     total_overlaps,
 )
 
+from swarmpack.model import ProblemInstance
+
 from oracles import UNIT_PAIR_LENS_AREA, all_pairs_contacts, mc_lens_area
 
 
@@ -208,6 +210,24 @@ def test_center_of_gravity_rejects_degenerate_input():
         center_of_gravity(np.empty((0, 2)), np.empty(0))
     with pytest.raises(InvalidGeometryError):
         center_of_gravity([(0.0, 0.0), (1.0, 1.0)], [1.0])
+    # A total passed in keeps every check.
+    with pytest.raises(InvalidGeometryError):
+        center_of_gravity([(0.0, 0.0)], [1.0], 0.0)
+    with pytest.raises(InvalidGeometryError):
+        center_of_gravity([(0.0, 0.0), (1.0, 1.0)], [1.0], 1.0)
+
+
+def test_a_cached_total_mass_gives_the_same_gravity_center_bits():
+    # ProblemInstance.total_mass, passed as the solver passes it, divides
+    # exactly as the sum center_of_gravity takes itself.
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        n = int(rng.integers(1, 150))
+        inst = ProblemInstance("cg", radii=np.ones(n), masses=rng.uniform(0.1, 1e3, n))
+        positions = rng.uniform(-1e3, 1e3, (n, 2))
+        assert inst.total_mass == float(np.sum(inst.masses))
+        cached = center_of_gravity(positions, inst.masses, inst.total_mass)
+        assert cached.tobytes() == center_of_gravity(positions, inst.masses).tobytes()
 
 
 def test_enclosing_radius_single_circle():

@@ -21,8 +21,12 @@ import swarmpack
 DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 PINNED_NUMPY = "2.4"
 
-# swarmpack solve {I1,I3} --iters 2000 and II1 --iters 1500, each at --seed {0,3},
-# with --out-json and --trace-csv
+# swarmpack solve NAME --iters ITERS at --seed {0,3}, with --out-json and
+# --trace-csv, for the (NAME, ITERS) of each test's runs.
+RUNS = (("I1", 2000), ("I3", 2000), ("II1", 1500))
+# II2, with 150 circles of radii 10-50, holds the most layouts that fit but
+# have a contact deep enough to settle the verdict before enclosing_radius.
+II2_RUNS = (("II2", 2000),)
 PINNED = {
     "I1-0.json": "fc7cba92bcfb2e53324d1a3dffc5913e96b8c8978360b01a9c66decaa6406f29",
     "I1-0.csv": "1d1043efa0f1944b72319a7ae7b16de2fbdb97f0f9f32d658a825feba1e55f63",
@@ -36,12 +40,16 @@ PINNED = {
     "II1-0.csv": "d0c2d71ad8cb427238d04892569f14b572fc4eb6a6300c311491da2ebaf75738",
     "II1-3.json": "7c367b3f569224eaf0e5047ca5278131b69d026d4353774efbbcad9f0b533fd0",
     "II1-3.csv": "4b12ce3fbc70f9ea207e45e53a9ff9879f0cbc1d8dca087ed65422c8e6ec885d",
+    "II2-0.json": "bcbf5839595cac4a1ecb1165c02e53e5bce2ca98f5d5eb0c8ea2a93b80e14ba6",
+    "II2-0.csv": "5b49e6159f47978e68f81eaa5b2d6e2a8bc42233b4220f02799275f43017ce28",
+    "II2-3.json": "510429512cdf59c8df6f2a5c26ce05156007ebc1ad2da93c908e9afb5cabd5c7",
+    "II2-3.csv": "d3970fc151d436bb672f86db52d7dd5879b5028853435242c54546a20631c1c9",
 }
 
 SOLVES = """
 import sys
 from swarmpack.cli import main
-for name, iters in (("I1", "2000"), ("I3", "2000"), ("II1", "1500")):
+for name, iters in zip(sys.argv[2::2], sys.argv[3::2]):
     for seed in ("0", "3"):
         stem = f"{sys.argv[1]}/{name}-{seed}"
         argv = ["solve", name, "--iters", iters, "--seed", seed]
@@ -51,17 +59,32 @@ for name, iters in (("I1", "2000"), ("I3", "2000"), ("II1", "1500")):
 """
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="digests pinned on x86-64")
-@pytest.mark.skipif(
-    ".".join(np.__version__.split(".")[:2]) != PINNED_NUMPY, reason=f"digests pinned under numpy {PINNED_NUMPY}"
+pinned_host = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64")
+    or ".".join(np.__version__.split(".")[:2]) != PINNED_NUMPY,
+    reason=f"digests pinned on x86-64 under numpy {PINNED_NUMPY}",
 )
-def test_solve_outputs_match_the_pinned_digests(tmp_path):
+
+
+def assert_runs_match_the_pins(tmp_path, runs):
     src = str(Path(swarmpack.__file__).resolve().parents[1])
     env = {**os.environ, **DISPATCH, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [str(part) for run in runs for part in run]
     done = subprocess.run(
-        [sys.executable, "-c", SOLVES, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", SOLVES, str(tmp_path), *argv], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED}
-    changed = sorted(name for name in PINNED if digests[name] != PINNED[name])
+    names = [f"{name}-{seed}.{ext}" for name, _ in runs for seed in (0, 3) for ext in ("json", "csv")]
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+    changed = sorted(name for name in names if digests[name] != PINNED[name])
     assert changed == [], f"numpy {np.__version__}, libc {platform.libc_ver()}: {changed} differ from the pins"
+
+
+@pinned_host
+def test_solve_outputs_match_the_pinned_digests(tmp_path):
+    assert_runs_match_the_pins(tmp_path, RUNS)
+
+
+@pinned_host
+def test_ii2_outputs_match_the_pinned_digests(tmp_path):
+    assert_runs_match_the_pins(tmp_path, II2_RUNS)

@@ -182,8 +182,8 @@ class StatelessSearch:
     def __init__(self, radii, travel):
         self.radii = radii
 
-    def contacts(self, positions):
-        return contact_pairs(positions, self.radii)
+    def layout(self, positions):
+        return contact_pairs(positions, self.radii), geometry.far_edges(positions, self.radii)
 
 
 @pytest.mark.parametrize("name, n_it", [("I1", 2000), ("II1", 600)])
@@ -317,6 +317,62 @@ def test_overlap_rows_do_not_depend_on_the_depth_rule(monkeypatch, name, n_it):
     assert 0 < with_rule < len(calls) - with_rule
 
 
+@pytest.mark.parametrize("name, n_it", [("I1", 3000), ("II1", 1000), ("II2", 1500)])
+def test_the_depth_rule_before_the_enclosing_radius_changes_no_verdict(monkeypatch, name, n_it):
+    # Every layout a solve judges is judged again with the rule off (a
+    # depth no contact reaches), where enclosing_radius runs on every layout
+    # the floor leaves open: the verdict, any overlap the evaluation
+    # returns and the enclosing radius of a feasible layout are the same.
+    # Some layouts skip enclosing_radius only through the rule. The result
+    # and History bytes of a run without the rule are compared by
+    # test_overlap_rows_do_not_depend_on_the_depth_rule.
+    inst = CORPUS.get(name)
+    hp = Hyperparameters(n_it=n_it, seed=2)
+    reference = geometry.NeighbourList(inst.radii, 0.0)
+    radius_calls = []
+    enclosing = solver.enclosing_radius
+    evaluate = solver._evaluate
+    early = 0
+
+    def counting(*args):
+        radius_calls.append(1)
+        return enclosing(*args)
+
+    def comparing(positions, instance, target, overlap_tol, certain_depth, neighbours):
+        nonlocal early
+        start = len(radius_calls)
+        judged = evaluate(positions, instance, target, overlap_tol, certain_depth, neighbours)
+        *_, encl, overlap, verdict = judged
+        middle = len(radius_calls)
+        *_, want_encl, want_overlap, want = evaluate(positions, instance, target, overlap_tol, math.inf, reference)
+        assert verdict == want
+        assert overlap is None or overlap == want_overlap
+        assert not verdict or encl == want_encl
+        early += start == middle < len(radius_calls)
+        return judged
+
+    monkeypatch.setattr(solver, "enclosing_radius", counting)
+    monkeypatch.setattr(solver, "_evaluate", comparing)
+    solve(inst, hp)
+    assert early > 0
+
+
+def test_a_deep_contact_leaves_an_overflowing_gravity_center_to_enclosing_radius(monkeypatch):
+    # A layout with a deep contact whose gravity center overflows: the heavy
+    # circle's m * p passes float range, the total mass does not. The run
+    # stops with the inf enclosing_radius measures about that center, not
+    # with the floor's -inf, as when enclosing_radius ran before the rule.
+    inst = ProblemInstance("heavy", radii=[1.0, 1.0, 1.0], masses=[1e308, 1.0, 1.0])
+    layout = np.array([[1e3, 1e3], [0.0, 0.0], [0.5, 0.0]])
+    monkeypatch.setattr(solver, "integrate_step", lambda positions, velocities, *args: (layout.copy(), velocities))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError) as raised:
+        solve(inst, Hyperparameters(n_it=5))
+    assert str(raised.value) == (
+        "layout turned non-finite at iteration 1 (enclosing radius inf, gravity-center offset inf); "
+        "check the hyperparameter scales"
+    )
+
+
 def count_verdicts(monkeypatch, module, name):
     # Wrap a bound helper so that each verdict it gives is counted.
     counts = {True: 0, False: 0}
@@ -391,13 +447,17 @@ def far_off_center_layouts(rng):
 def test_the_radius_floor_gives_the_exact_verdict_near_the_bar(monkeypatch):
     # Targets whose bar target + FEASIBLE_RADIUS_EPS lies a few ulps either
     # side of the floor, and of the enclosing radius, and far below them:
-    # the verdict, and the enclosing radius of a layout that fits, equal
-    # those of the evaluation without the floor and of enclosing_radius.
+    # the verdict equals that of the evaluation without the floor, and the
+    # enclosing radius of a layout that fits without a deep contact that of
+    # enclosing_radius. On a layout with a deep contact the verdict is
+    # settled before enclosing_radius, and the floor stands in for it.
     rng = np.random.default_rng(2020)
-    fired = near = 0
+    fired = near = compared = 0
     for positions, inst in far_off_center_layouts(rng):
         cg = geometry.center_of_gravity(positions, inst.masses)
         floor = geometry.far_edges(positions, inst.radii).far_max - geometry.cg_offset(cg)
+        contacts = contact_pairs(positions, inst.radii)
+        deep = bool(contacts.d.shape[0]) and (contacts.reach - contacts.d).max() >= certain_overlap_depth(inst)
         exact = enclosing_radius(positions, inst.radii, cg)
         targets = [0.5 * floor]
         for edge in (floor, exact):
@@ -413,12 +473,15 @@ def test_the_radius_floor_gives_the_exact_verdict_near_the_bar(monkeypatch):
                 *_, want_encl, want_overlap, want = evaluate(positions, inst, target)
             assert (verdict, overlap) == (want, want_overlap)
             fits = exact <= target + FEASIBLE_RADIUS_EPS
-            if fits:
+            if deep:
+                assert encl == floor
+            elif fits:
                 assert encl == want_encl == exact
+                compared += 1
             fired += settled[True]
             near += target != targets[0] and settled[False]
             assert not (fits and settled[True])
-    assert fired >= 150 and near > 2000
+    assert fired >= 150 and near > 2000 and compared > 150
 
 
 def test_the_radius_floor_never_settles_a_non_finite_layout():
@@ -444,7 +507,7 @@ def test_solve_stops_when_the_layout_overflows():
 
 
 def test_gravity_center_is_computed_once_per_layout(monkeypatch):
-    calls = {"solver": 0, "forces": 0, "evaluate": 0, "contacts": 0}
+    calls = {"solver": 0, "forces": 0, "evaluate": 0, "layout": 0}
 
     def counting(owner, name, key):
         original = getattr(owner, name)
@@ -458,7 +521,7 @@ def test_gravity_center_is_computed_once_per_layout(monkeypatch):
     counting(solver, "center_of_gravity", "solver")
     counting(forces, "center_of_gravity", "forces")
     counting(solver, "_evaluate", "evaluate")
-    counting(geometry.NeighbourList, "contacts", "contacts")
+    counting(geometry.NeighbourList, "layout", "layout")
     hp = Hyperparameters(n_it=60, seed=1)
     result = solve(ProblemInstance("trio", radii=[2.0, 1.0, 1.5], masses=[4.0, 1.0, 2.0]), hp)
     assert result.feasible
@@ -466,7 +529,7 @@ def test_gravity_center_is_computed_once_per_layout(monkeypatch):
     # evaluation; the best layout is re-centered with the gravity center of
     # its own tick.
     n = hp.n_it + 1
-    assert calls == {"solver": n, "forces": 0, "evaluate": n, "contacts": n}
+    assert calls == {"solver": n, "forces": 0, "evaluate": n, "layout": n}
 
 
 def test_speed_overflow_stops_the_run():
