@@ -20,10 +20,10 @@ enclosing radius since |p_i - cg| >= |p_i| - |cg|; a floor above the target
 plus a rounding margin settles that the layout does not fit, without
 ``enclosing_radius``. A layout that does not fit is infeasible whatever its
 overlap, and so is one with a contact at least ``certain_overlap_depth``
-deep, since that one lens alone exceeds the tolerance. Where the floor or
-the deepest contact settles the verdict, the floor stands in for the
-enclosing radius. Only the layouts that pass all three pay for
-``total_overlap``.
+deep, since that one lens alone exceeds the tolerance. Only the layouts
+that pass all three pay for ``total_overlap``, and only a feasible one
+carries a radius. A run stops once a layout's farthest edge or gravity
+center turns non-finite.
 The initial layout goes through the same evaluation, against the starting
 target, and serves the first tick's forces; its verdict is not recorded.
 A layout judged without its overlap still gets its overlap row in the
@@ -58,12 +58,6 @@ from .model import Hyperparameters, History, InvalidInputError, ProblemInstance,
 # Slack on the enclosing-radius comparison; keeps a ratchet step of exactly
 # target == actual from reading as infeasible through rounding.
 FEASIBLE_RADIUS_EPS = 1e-9
-
-# Far edges at or beyond this leave the verdict to enclosing_radius, and so
-# does a non-finite gravity-center offset: there |p_i - cg|, up to twice
-# |p_i|, can overflow to inf where |p_i| did not, and the solve loop must
-# see that inf.
-RADIUS_FLOOR_LIMIT = 1e150
 
 # Milestone thresholds the result JSON and the bench report write: fractions
 # above the final radius, loosest first.
@@ -104,15 +98,12 @@ def certain_overlap_depth(instance: ProblemInstance) -> float:
     return min(smallest, (4.0 * tol / math.sqrt(0.75 * smallest)) ** (2.0 / 3.0))
 
 
-def _cannot_fit(far_max: float, cgv: float, target_radius: float) -> bool:
+def _cannot_fit(far_max: float, cgv: float, bar: float) -> bool:
     # True when the radius floor far_max - cgv settles that the enclosing
-    # radius exceeds target_radius + FEASIBLE_RADIUS_EPS. The computed
-    # radius, floor and gravity-center offset each carry a relative error of
-    # a few ulps of far_max + cgv; the margin of 1e-10 of that sum (plus the
-    # bar) covers it many times over. A NaN or inf far_max or cgv, and a
-    # far_max past RADIUS_FLOOR_LIMIT, make this False.
-    bar = target_radius + FEASIBLE_RADIUS_EPS
-    return far_max - cgv > bar + 1e-10 * (far_max + cgv + bar) and far_max < RADIUS_FLOOR_LIMIT
+    # radius exceeds bar, the target plus FEASIBLE_RADIUS_EPS; a NaN or inf
+    # far_max or cgv makes it False. tests/test_exactness.py holds the
+    # rounding argument for the margin.
+    return far_max - cgv > bar + 1e-10 * (far_max + cgv + bar)
 
 
 def _evaluate(
@@ -123,31 +114,25 @@ def _evaluate(
     certain_depth: float,
     neighbours: NeighbourList,
 ):
-    # The radius floor first: a layout that does not fit is infeasible
-    # whatever its overlap. Then the deepest contact: one at least
-    # certain_depth deep overlaps past the tolerance on its own. Where
-    # either settles the verdict, the floor far_max - cgv stands in for the
-    # enclosing radius, which only the non-finite check reads on an
-    # infeasible layout. After a deep contact it does so only where the
-    # enclosing radius is finite too (far_max below RADIUS_FLOOR_LIMIT, a
-    # finite cgv), so the check still reports the inf or NaN of
-    # enclosing_radius. Either way the overlap is left to the caller (None).
-    # A NaN depth fails the comparison and falls through to total_overlap.
+    # Returns (contacts, cg, cgv, edges, overlap, radius): radius is the
+    # enclosing radius of a feasible layout and None on every other, overlap
+    # the total overlap where it was computed and None otherwise. The radius
+    # floor and then the deepest contact settle the verdict first: a layout
+    # that does not fit is infeasible whatever its overlap, and a contact at
+    # least certain_depth deep overlaps past the tolerance on its own. A NaN
+    # depth fails the comparison and falls through to enclosing_radius.
     contacts, edges = neighbours.layout(positions)
     cg = center_of_gravity(positions, instance.masses, instance.total_mass)
     cgv = cg_offset(cg)
-    far_max = edges.far_max
-    if _cannot_fit(far_max, cgv, target_radius):
-        return contacts, cg, cgv, edges, far_max - cgv, None, False
+    bar = target_radius + FEASIBLE_RADIUS_EPS
     d = contacts.d
-    deep = d.shape[0] and np.maximum.reduce(contacts.reach - d) >= certain_depth
-    if deep and far_max < RADIUS_FLOOR_LIMIT and math.isfinite(cgv):
-        return contacts, cg, cgv, edges, far_max - cgv, None, False
-    encl = enclosing_radius(positions, instance.radii, cg)
-    if deep or not encl <= target_radius + FEASIBLE_RADIUS_EPS:
-        return contacts, cg, cgv, edges, encl, None, False
+    if _cannot_fit(edges.far_max, cgv, bar) or d.shape[0] and np.maximum.reduce(contacts.reach - d) >= certain_depth:
+        return contacts, cg, cgv, edges, None, None
+    radius = enclosing_radius(positions, instance.radii, cg)
+    if not radius <= bar:
+        return contacts, cg, cgv, edges, None, None
     overlap = total_overlap(positions, instance.radii, contacts=contacts)
-    return contacts, cg, cgv, edges, encl, overlap, overlap <= overlap_tol
+    return contacts, cg, cgv, edges, overlap, radius if overlap <= overlap_tol else None
 
 
 class _OverlapQueue:
@@ -213,12 +198,12 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
             positions, velocities = integrate_step(positions, velocities, forces, masses, hp)
         except InvalidInputError as exc:
             raise InvalidInputError(f"iteration {t}: {exc}") from None
-        contacts, cg, cgv, edges, encl, overlap, feasible = _evaluate(
+        contacts, cg, cgv, edges, overlap, radius = _evaluate(
             positions, instance, target, overlap_tol, certain_depth, neighbours
         )
-        if not (math.isfinite(encl) and math.isfinite(cgv)):
+        if not (math.isfinite(edges.far_max) and math.isfinite(cgv)):
             raise InvalidInputError(
-                f"layout turned non-finite at iteration {t} (enclosing radius {encl!r}, "
+                f"layout turned non-finite at iteration {t} (farthest edge {edges.far_max!r}, "
                 f"gravity-center offset {cgv!r}); check the hyperparameter scales"
             )
         target_col[t - 1] = target
@@ -229,13 +214,13 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
             queued.add(t - 1, contacts)
         else:
             overlap_col[t - 1] = 0.0
-        if feasible:
-            actual_col[t - 1] = encl
-            if best_radius is None or encl < best_radius:
-                best_radius = encl
+        if radius is not None:
+            actual_col[t - 1] = radius
+            if best_radius is None or radius < best_radius:
+                best_radius = radius
                 best_iteration = t
                 best_positions = positions - cg
-            schedule.on_feasible(encl, t, hp)
+            schedule.on_feasible(radius, t, hp)
         else:
             schedule.on_infeasible(hp)
     queued.flush()

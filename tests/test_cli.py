@@ -197,6 +197,15 @@ def test_speed_overflow_exits_with_2(capsys):
     assert "error: iteration 1: speed overflowed to inf" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_far_edge_overflow_exits_with_2(capsys):
+    # Speeds and the gravity center stay finite, but the swarm drifts until
+    # a circle's origin distance overflows: the run stops on its far edge.
+    assert run("solve", "I1", "--fmax", "1e300", "--vmax", "5e154", "--iters", "300") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "non-finite at iteration 34 (farthest edge inf, gravity-center offset 1.3" in err
+
+
 def test_instances_list_and_show(capsys):
     assert run("instances", "list") == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()

@@ -5,7 +5,7 @@ import pytest
 
 from swarmpack import forces, geometry, solver
 from swarmpack.corpus import CORPUS
-from swarmpack.geometry import cg_violation, contact_pairs, enclosing_radius, total_overlap
+from swarmpack.geometry import center_of_gravity, cg_violation, contact_pairs, enclosing_radius, total_overlap
 from swarmpack.init import initial_container_radius
 from swarmpack.instance_io import format_result_json
 from swarmpack.model import History, Hyperparameters, InvalidInputError, ProblemInstance
@@ -49,8 +49,9 @@ DEEP_PAIR_SEED = 6
 
 
 def evaluate(positions, instance, target_radius):
-    # The per-layout evaluation solve runs on every layout. Without a skin
-    # the NeighbourList searches every call, giving contact_pairs' bytes.
+    # The per-layout evaluation solve runs on every layout, returning
+    # (contacts, cg, cgv, edges, overlap, radius). Without a skin the
+    # NeighbourList searches every call, giving contact_pairs' bytes.
     positions = np.asarray(positions, dtype=float)
     neighbours = geometry.NeighbourList(instance.radii, 0.0)
     tol, depth = overlap_tolerance(instance), certain_overlap_depth(instance)
@@ -58,7 +59,7 @@ def evaluate(positions, instance, target_radius):
 
 
 def is_feasible(positions, instance, target_radius):
-    return evaluate(positions, instance, target_radius)[-1]
+    return evaluate(positions, instance, target_radius)[-1] is not None
 
 
 def test_is_feasible_judges_fit_about_the_gravity_center():
@@ -80,7 +81,8 @@ def test_is_feasible_judges_fit_about_the_gravity_center():
 def test_is_feasible_covers_all_four_verdicts():
     # The radius test runs first, then the deepest contact, and the overlap
     # only for a layout that fits without a contact of certain overlap;
-    # every verdict must equal the one both tests together give.
+    # every verdict must equal the one both tests together give, and only a
+    # feasible one carries a radius.
     inst = ProblemInstance("duo", radii=[1.0, 1.0], masses=[1.0, 1.0])
     tol = overlap_tolerance(inst)
     overlapping = [[-0.5, 0.0], [0.5, 0.0]]
@@ -88,21 +90,19 @@ def test_is_feasible_covers_all_four_verdicts():
     shallow = [[-0.99985, 0.0], [0.99985, 0.0]]
     apart = [[-1.5, 0.0], [1.5, 0.0]]
     cases = (
-        (overlapping, 1.4, None),  # radius and overlap both fail
-        (apart, 2.4, None),  # only the radius fails
-        (overlapping, 10.0, None),  # only the overlap fails, settled by depth
-        (shallow, 10.0, total_overlap(shallow, inst.radii)),  # only the overlap fails
-        (apart, 2.5, 0.0),  # both pass
+        (overlapping, 1.4, None, None),  # radius and overlap both fail
+        (apart, 2.4, None, None),  # only the radius fails
+        (overlapping, 10.0, None, None),  # only the overlap fails, settled by depth
+        (shallow, 10.0, total_overlap(shallow, inst.radii), None),  # only the overlap fails
+        (apart, 2.5, 0.0, 2.5),  # both pass
     )
-    verdicts = []
-    for layout, target, want_overlap in cases:
+    for layout, target, want_overlap, want_radius in cases:
         positions = np.asarray(layout, dtype=float)
-        *_, encl, overlap, feasible = evaluate(positions, inst, target)
-        fits = encl <= target + FEASIBLE_RADIUS_EPS
-        assert overlap == want_overlap
-        assert feasible == (fits and total_overlap(positions, inst.radii) <= tol)
-        verdicts.append(feasible)
-    assert verdicts == [False, False, False, False, True]
+        *_, overlap, radius = evaluate(positions, inst, target)
+        assert (overlap, radius) == (want_overlap, want_radius)
+        exact = enclosing_radius(positions, inst.radii, center_of_gravity(positions, inst.masses))
+        fits = exact <= target + FEASIBLE_RADIUS_EPS
+        assert (radius is not None) == (fits and total_overlap(positions, inst.radii) <= tol)
 
 
 def test_overlap_tolerance_scales_with_smallest_circle():
@@ -261,8 +261,8 @@ def test_a_contact_at_the_certain_depth_overlaps_past_the_tolerance():
 def test_the_depth_rule_gives_the_verdict_of_the_total_overlap():
     # Random layouts with one contact pushed to about the certain depth (a
     # tenth to ten times it): the verdict with the rule equals the one the
-    # total overlap alone gives, and an overlap the evaluation returns is
-    # total_overlap's.
+    # total overlap alone gives, an overlap the evaluation returns is
+    # total_overlap's and a radius it returns enclosing_radius's.
     rng = np.random.default_rng(1919)
     settled = deferred = feasible = 0
     for _ in range(300):
@@ -277,10 +277,12 @@ def test_the_depth_rule_gives_the_verdict_of_the_total_overlap():
         depth = certain * float(10.0 ** rng.uniform(-1.0, 1.0))
         positions[k + 1 :, 0] -= positions[k + 1, 0] - positions[k, 0] - (radii[k] + radii[k + 1] - depth)
         target = float(rng.choice([1e9, 1.0]))
-        *_, overlap, verdict = evaluate(positions, inst, target)
+        *_, overlap, radius = evaluate(positions, inst, target)
         fits = target == 1e9
         whole = total_overlap(positions, radii)
-        assert verdict == (fits and whole <= overlap_tolerance(inst))
+        verdict = fits and whole <= overlap_tolerance(inst)
+        exact = enclosing_radius(positions, radii, center_of_gravity(positions, inst.masses))
+        assert radius == (exact if verdict else None)
         if fits:
             if overlap is None:
                 settled += 1
@@ -321,8 +323,8 @@ def test_overlap_rows_do_not_depend_on_the_depth_rule(monkeypatch, name, n_it):
 def test_the_depth_rule_before_the_enclosing_radius_changes_no_verdict(monkeypatch, name, n_it):
     # Every layout a solve judges is judged again with the rule off (a
     # depth no contact reaches), where enclosing_radius runs on every layout
-    # the floor leaves open: the verdict, any overlap the evaluation
-    # returns and the enclosing radius of a feasible layout are the same.
+    # the floor leaves open: the radius, None unless feasible, and any
+    # overlap the evaluation returns are the same.
     # Some layouts skip enclosing_radius only through the rule. The result
     # and History bytes of a run without the rule are compared by
     # test_overlap_rows_do_not_depend_on_the_depth_rule.
@@ -342,12 +344,11 @@ def test_the_depth_rule_before_the_enclosing_radius_changes_no_verdict(monkeypat
         nonlocal early
         start = len(radius_calls)
         judged = evaluate(positions, instance, target, overlap_tol, certain_depth, neighbours)
-        *_, encl, overlap, verdict = judged
+        *_, overlap, radius = judged
         middle = len(radius_calls)
-        *_, want_encl, want_overlap, want = evaluate(positions, instance, target, overlap_tol, math.inf, reference)
-        assert verdict == want
-        assert overlap is None or overlap == want_overlap
-        assert not verdict or encl == want_encl
+        *_, want_overlap, want_radius = evaluate(positions, instance, target, overlap_tol, math.inf, reference)
+        assert radius == want_radius
+        assert overlap in (None, want_overlap)
         early += start == middle < len(radius_calls)
         return judged
 
@@ -357,18 +358,17 @@ def test_the_depth_rule_before_the_enclosing_radius_changes_no_verdict(monkeypat
     assert early > 0
 
 
-def test_a_deep_contact_leaves_an_overflowing_gravity_center_to_enclosing_radius(monkeypatch):
+def test_an_overflowing_gravity_center_stops_the_run(monkeypatch):
     # A layout with a deep contact whose gravity center overflows: the heavy
-    # circle's m * p passes float range, the total mass does not. The run
-    # stops with the inf enclosing_radius measures about that center, not
-    # with the floor's -inf, as when enclosing_radius ran before the rule.
+    # circle's m * p passes float range, the total mass does not. The far
+    # edges stay finite; the run stops on the gravity-center offset.
     inst = ProblemInstance("heavy", radii=[1.0, 1.0, 1.0], masses=[1e308, 1.0, 1.0])
     layout = np.array([[1e3, 1e3], [0.0, 0.0], [0.5, 0.0]])
     monkeypatch.setattr(solver, "integrate_step", lambda positions, velocities, *args: (layout.copy(), velocities))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError) as raised:
         solve(inst, Hyperparameters(n_it=5))
     assert str(raised.value) == (
-        "layout turned non-finite at iteration 1 (enclosing radius inf, gravity-center offset inf); "
+        "layout turned non-finite at iteration 1 (farthest edge 1415.213562373095, gravity-center offset inf); "
         "check the hyperparameter scales"
     )
 
@@ -447,18 +447,16 @@ def far_off_center_layouts(rng):
 def test_the_radius_floor_gives_the_exact_verdict_near_the_bar(monkeypatch):
     # Targets whose bar target + FEASIBLE_RADIUS_EPS lies a few ulps either
     # side of the floor, and of the enclosing radius, and far below them:
-    # the verdict equals that of the evaluation without the floor, and the
-    # enclosing radius of a layout that fits without a deep contact that of
-    # enclosing_radius. On a layout with a deep contact the verdict is
-    # settled before enclosing_radius, and the floor stands in for it.
+    # the overlap and radius equal those of the evaluation without the
+    # floor, and the radius is enclosing_radius's on every feasible verdict
+    # and None on every other.
     rng = np.random.default_rng(2020)
     fired = near = compared = 0
     for positions, inst in far_off_center_layouts(rng):
         cg = geometry.center_of_gravity(positions, inst.masses)
         floor = geometry.far_edges(positions, inst.radii).far_max - geometry.cg_offset(cg)
-        contacts = contact_pairs(positions, inst.radii)
-        deep = bool(contacts.d.shape[0]) and (contacts.reach - contacts.d).max() >= certain_overlap_depth(inst)
         exact = enclosing_radius(positions, inst.radii, cg)
+        clear = total_overlap(positions, inst.radii) <= overlap_tolerance(inst)
         targets = [0.5 * floor]
         for edge in (floor, exact):
             target = edge - FEASIBLE_RADIUS_EPS
@@ -467,40 +465,41 @@ def test_the_radius_floor_gives_the_exact_verdict_near_the_bar(monkeypatch):
         for target in targets:
             with monkeypatch.context() as m:
                 settled = count_verdicts(m, solver, "_cannot_fit")
-                *_, encl, overlap, verdict = evaluate(positions, inst, target)
+                *_, overlap, radius = evaluate(positions, inst, target)
             with monkeypatch.context() as m:
                 m.setattr(solver, "_cannot_fit", lambda *args: False)
-                *_, want_encl, want_overlap, want = evaluate(positions, inst, target)
-            assert (verdict, overlap) == (want, want_overlap)
+                *_, want_overlap, want_radius = evaluate(positions, inst, target)
+            assert (overlap, radius) == (want_overlap, want_radius)
             fits = exact <= target + FEASIBLE_RADIUS_EPS
-            if deep:
-                assert encl == floor
-            elif fits:
-                assert encl == want_encl == exact
-                compared += 1
+            assert radius == (exact if fits and clear else None)
+            compared += fits and clear
             fired += settled[True]
             near += target != targets[0] and settled[False]
             assert not (fits and settled[True])
     assert fired >= 150 and near > 2000 and compared > 150
 
 
-def test_the_radius_floor_never_settles_a_non_finite_layout():
+def test_the_radius_floor_never_settles_a_non_finite_layout(monkeypatch):
     # A NaN or inf far edge or gravity-center offset fails the floor test.
     for far_max, cgv in ((math.nan, 0.0), (math.inf, 0.0), (1e3, math.nan), (math.inf, math.inf), (1e3, math.inf)):
         assert not solver._cannot_fit(far_max, cgv, 1.0)
-    # |p| stays below the float limit, but the gravity center on the other
-    # side puts |p - cg| past it: the floor leaves the layout to
-    # enclosing_radius, whose inf the solve loop reports.
+    # |p| and |cg| stay below the float limit, but the gravity center on the
+    # other side puts |p - cg| past it. The floor settles that the layout
+    # does not fit, and the run, whose state is finite, goes on.
     inst = ProblemInstance("far", radii=[1.0, 1.0], masses=[1.0, 1000.0])
-    positions = np.array([[1.3e154, 0.0], [-1.3e154, 0.0]])
+    layout = np.array([[1.3e154, 0.0], [-1.3e154, 0.0]])
     with np.errstate(over="ignore"):
-        assert evaluate(positions, inst, 1.0)[-3] == math.inf
+        assert enclosing_radius(layout, inst.radii, center_of_gravity(layout, inst.masses)) == math.inf
+    monkeypatch.setattr(solver, "integrate_step", lambda positions, velocities, *args: (layout.copy(), velocities))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = solve(inst, Hyperparameters(n_it=3))
+    assert result.history.feasible.tolist() == [False] * 3
+    assert np.isfinite(result.history.cg_violation).all()
 
 
 def test_solve_stops_when_the_layout_overflows():
     # Speeds stay finite, but a tick's step (speed times dt) overflows: the
-    # far edges turn inf, which the floor leaves to the exact test, and the
-    # run stops at once.
+    # far edges turn inf and the run stops at once.
     hp = Hyperparameters(v_max=1e200, dt=1e160, f_max=1e-10)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError, match="non-finite at iteration 1 "):
         solve(CORPUS.get("I1"), hp)
