@@ -76,9 +76,7 @@ def _cmd_solve(args) -> int:
 
     if args.trace_csv:
         with open(args.trace_csv, "w", encoding="utf-8", newline="") as fh:
-            write_row = TraceCsvWriter(fh)
-            for row in zip(range(1, hp.n_it + 1), *(column.tolist() for column in result.history)):
-                write_row(*row)
+            TraceCsvWriter(fh)(result.history)
 
     if args.out_json:
         with open(args.out_json, "w", encoding="utf-8") as fh:

@@ -72,6 +72,7 @@ def assemble_forces(
     contacts: Contacts,
     cg: np.ndarray,
     edges: Optional[FarEdges] = None,
+    cgv: Optional[float] = None,
 ) -> np.ndarray:
     """Capped resultant force on every circle, as an (N, 2) array.
 
@@ -79,8 +80,8 @@ def assemble_forces(
     most ``hp.v_max`` as ``integrate_step`` leaves them (the force-cap bound
     relies on it); ``contacts`` and ``cg`` are the layout's
     ``contact_pairs`` result and gravity center, and ``edges`` its
-    ``far_edges``, computed here when not given. The container is centered
-    on the origin.
+    ``far_edges`` and ``cgv`` its ``cg_offset``, each computed here when not
+    given. The container is centered on the origin.
     """
     p, v, r = positions, velocities, instance.radii
 
@@ -104,7 +105,7 @@ def assemble_forces(
         # source's partners in ascending order.
         np.add.at(total, src, push)
 
-    toward = _unit_toward(cg)
+    toward = _unit_toward(cg, cgv)
     if toward is not None:
         total -= hp.alpha * (instance.mass_share * toward)
 
@@ -147,10 +148,10 @@ def _cap_cannot_bind(n_pairs: int, instance: ProblemInstance, hp: Hyperparameter
     return bound * (1.0 + 1e-12 * (n_pairs + 2)) < hp.f_max
 
 
-def _unit_toward(cg):
+def _unit_toward(cg, norm=None):
     # The unit vector toward the gravity center, or None inside the EPSILON
-    # ball around the origin.
-    norm = cg_offset(cg)
+    # ball around the origin; norm is cg_offset(cg) when given.
+    norm = cg_offset(cg) if norm is None else norm
     return None if norm < EPSILON else cg / norm
 
 

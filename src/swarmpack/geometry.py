@@ -81,8 +81,16 @@ def _partial_lens(d, r_a, r_b):
     # Heron-style product: the sqrt is four times the triangle area
     # spanned by the two centers and an intersection point.
     d_a = d + r_a
-    tri = (r_a + r_b - d) * (d_a - r_b) * (d - r_a + r_b) * (d_a + r_b)
-    return sector[0] + sector[1] - 0.5 * np.sqrt(np.maximum(tri, 0.0))
+    f_a, f_b, f_c, f_d = r_a + r_b - d, d_a - r_b, d - r_a + r_b, d_a + r_b
+    tri = f_a * f_b * f_c * f_d
+    root = np.sqrt(np.maximum(tri, 0.0))
+    # Four lengths multiply past float range for radii above about 1e76,
+    # and an inf root would make the area -inf. Only those elements take
+    # the product as two square roots; the others keep their bits.
+    over = tri == np.inf
+    if over.any():
+        root[over] = np.sqrt(np.maximum(f_a[over] * f_b[over], 0.0)) * np.sqrt(np.maximum(f_c[over] * f_d[over], 0.0))
+    return sector[0] + sector[1] - 0.5 * root
 
 
 def lens_area(a: Disk, b: Disk) -> float:

@@ -10,7 +10,6 @@ sorted order so identical runs serialize to identical bytes.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from typing import IO, Optional
@@ -213,20 +212,37 @@ def parse_result(text: str) -> Optional[tuple[ProblemInstance, np.ndarray, float
 
 TRACE_COLUMNS = ("iteration", *History._fields, "feasible")
 _ACTUAL_CELL = History._fields.index("actual_radius")
+# Rows formatted and written per fh.write: the writer's memory is one
+# block's strings, whatever the number of iterations.
+TRACE_BLOCK = 1024
 
 
 class TraceCsvWriter:
-    """Writes a run's history to CSV, one call and one row per iteration.
+    """Writes a run's history to CSV, one row per iteration.
 
     A row is the iteration and its History values as Python floats, in
     field order; a NaN value (``actual_radius`` on an infeasible row) leaves
     its cell empty, and ``feasible`` says whether ``actual_radius`` is set.
+    Each call takes a History, or a slice of one (every column sliced
+    alike), and writes its rows TRACE_BLOCK at a time; the iteration numbers
+    continue from the previous call, so a run can be written in pieces.
     """
 
     def __init__(self, fh: IO[str]):
-        self._writer = csv.writer(fh, lineterminator="\n")
-        self._writer.writerow(TRACE_COLUMNS)
+        self._fh = fh
+        self._iteration = 1
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
 
-    def __call__(self, iteration: int, *values: float) -> None:
-        cells = ["" if math.isnan(value) else repr(value) for value in values]
-        self._writer.writerow((iteration, *cells, "true" if cells[_ACTUAL_CELL] else "false"))
+    def __call__(self, history: History) -> None:
+        rows = len(history[0])
+        for start in range(0, rows, TRACE_BLOCK):
+            stop = start + TRACE_BLOCK
+            # v != v holds only for NaN. Each value is formatted on its own:
+            # -0.0 == 0.0, so a cache keyed on the value would lose the sign.
+            # No float repr holds a comma or a quote, so no cell needs quoting.
+            cells = [["" if v != v else repr(v) for v in column[start:stop].tolist()] for column in history]
+            feasible = ["true" if cell else "false" for cell in cells[_ACTUAL_CELL]]
+            first = self._iteration + start
+            iterations = map(str, range(first, first + len(feasible)))
+            self._fh.write("\n".join(map(",".join, zip(iterations, *cells, feasible))) + "\n")
+        self._iteration += rows

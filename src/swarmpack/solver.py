@@ -181,7 +181,7 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
     certain_depth = certain_overlap_depth(instance)
     masses = instance.masses
     neighbours = NeighbourList(instance.radii, hp.v_max * hp.dt)
-    contacts, cg, _, edges, *_ = _evaluate(
+    contacts, cg, cgv, edges, *_ = _evaluate(
         positions, instance, schedule.target_radius, overlap_tol, certain_depth, neighbours
     )
 
@@ -193,7 +193,7 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
 
     for t in range(1, hp.n_it + 1):
         target = schedule.target_radius
-        forces = assemble_forces(positions, velocities, instance, target, hp, contacts, cg, edges)
+        forces = assemble_forces(positions, velocities, instance, target, hp, contacts, cg, edges, cgv)
         try:
             positions, velocities = integrate_step(positions, velocities, forces, masses, hp)
         except InvalidInputError as exc:

@@ -4,10 +4,13 @@ Each function recomputes a quantity along a path disjoint from the library
 implementation: areas by counting uniform samples, gradients by central
 differences, schedule values from the decay law in its power arrangement,
 forces one circle and one contribution at a time, contacts by testing
-every pair, milestones one record at a time.
+every pair, milestones one record at a time, trace CSVs one csv.writer row
+at a time.
 Keep these free of swarmpack imports so a bug cannot leak into its own check.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -161,6 +164,22 @@ def milestones_by_walk(actual_radius, final_radius, thresholds):
                 break
         out[str(float(p))] = hit
     return out
+
+
+def trace_csv_by_rows(header, columns, actual_cell):
+    """A trace CSV built one csv.writer row per iteration, header included.
+
+    Row k (from 1) holds k, the k-th value of each column as a Python float
+    repr (a NaN leaves its cell empty), and ``feasible``: "true" when the
+    cell at ``actual_cell`` among the values is set.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for iteration, values in enumerate(zip(*(np.asarray(c).tolist() for c in columns)), start=1):
+        cells = ["" if math.isnan(value) else repr(value) for value in values]
+        writer.writerow((iteration, *cells, "true" if cells[actual_cell] else "false"))
+    return buffer.getvalue()
 
 
 # Frozen reference values (computed once from the oracles above).

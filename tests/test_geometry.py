@@ -103,6 +103,19 @@ def test_lens_vector_path_matches_scalar_calls():
         assert vec[k] == lens_area_from_distance(d[k : k + 1], ra[k : k + 1], rb[k : k + 1])[0]
 
 
+# Beyond radius 1e76 the product of the four lengths in the lens formula
+# overflows; 2**266 scales every length exactly, so the area scales by 2**532.
+HUGE = 2.0**266
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("depth", [2e-6, 1e-3, 0.3])
+def test_lens_areas_of_huge_disks_scale_with_the_square_of_the_radius(depth):
+    unit = total_overlap([(0.0, 0.0), (2.0 - depth, 0.0)], [1.0, 1.0])
+    huge = total_overlap([(0.0, 0.0), ((2.0 - depth) * HUGE, 0.0)], [HUGE, HUGE])
+    assert huge == pytest.approx(unit * HUGE**2, rel=1e-12)
+
+
 def test_lens_rejects_bad_disks():
     with pytest.raises(InvalidGeometryError):
         disk(0, 0, -1.0)

@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from swarmpack.corpus import CORPUS
 from swarmpack.instance_io import (
+    TRACE_BLOCK,
     TRACE_COLUMNS,
     ParseError,
     TraceCsvWriter,
@@ -18,9 +21,11 @@ from swarmpack.instance_io import (
     parse_result,
     result_to_dict,
 )
-from swarmpack.model import Hyperparameters, ProblemInstance
+from swarmpack.model import History, Hyperparameters, ProblemInstance
 from swarmpack.solver import overlap_tolerance, solve
 from swarmpack.svg import ExportError, export_svg, render_svg
+
+from oracles import trace_csv_by_rows
 
 
 def tiny_result(feasible=True):
@@ -206,10 +211,8 @@ def test_trace_csv_streams_one_row_per_iteration():
     inst = ProblemInstance("traced", radii=[1.0, 1.2], masses=[1.0, 2.0])
     result = solve(inst, Hyperparameters(n_it=30, seed=2))
     buffer = io.StringIO()
-    write_row = TraceCsvWriter(buffer)
+    TraceCsvWriter(buffer)(result.history)
     rows = list(zip(range(1, 31), *(column.tolist() for column in result.history)))
-    for row in rows:
-        write_row(*row)
     lines = buffer.getvalue().splitlines()
     assert lines[0] == ",".join(TRACE_COLUMNS)
     assert len(lines) == 31
@@ -228,6 +231,66 @@ def test_trace_csv_streams_one_row_per_iteration():
             assert fields[5] == "false"
         assert float(fields[3]) == overlap
         assert float(fields[4]) == cgv
+
+
+# Values whose cells the writer must not merge or lose: NaN (an empty cell),
+# infinities, -0.0 right after 0.0, runs of one value, integral floats,
+# subnormals and values whose shortest repr switches to an exponent.
+AWKWARD = [0.0, -0.0, math.nan, math.inf, 3.5, 3.5, 3.5, -math.inf, 20.0, 1e16, 1e22, 0.1, 5e-324, -0.0, 0.0, math.nan]
+
+
+def awkward_history(rows, seed=0):
+    # Random floats with AWKWARD tiled over every column, shifted per
+    # column so each value meets every other column's; actual_radius also
+    # gets NaN runs, as infeasible stretches give it.
+    rng = np.random.default_rng(seed)
+    columns = rng.uniform(0.0, 50.0, (len(History._fields), rows))
+    for k, column in enumerate(columns):
+        picked = rng.random(rows) < 0.5
+        column[picked] = np.resize(np.roll(AWKWARD, 3 * k), rows)[picked]
+    columns[History._fields.index("actual_radius"), (np.arange(rows) // 37) % 3 == 0] = math.nan
+    return History(*columns)
+
+
+def reference_trace(history):
+    return trace_csv_by_rows(TRACE_COLUMNS, history, History._fields.index("actual_radius"))
+
+
+@pytest.mark.parametrize("rows", [0, 1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 2 * TRACE_BLOCK + 3])
+def test_trace_csv_blocks_give_the_bytes_of_one_row_at_a_time(rows):
+    history = awkward_history(rows, seed=rows)
+    buffer = io.StringIO()
+    TraceCsvWriter(buffer)(history)
+    assert buffer.getvalue() == reference_trace(history)
+
+
+@pytest.mark.parametrize("split", [0, 700, TRACE_BLOCK, TRACE_BLOCK + 1, 2 * TRACE_BLOCK + 3])
+def test_trace_csv_slices_written_in_turn_number_on(split):
+    history = awkward_history(2 * TRACE_BLOCK + 3)
+    buffer = io.StringIO()
+    write = TraceCsvWriter(buffer)
+    write(History(*(column[:split] for column in history)))
+    write(History(*(column[split:] for column in history)))
+    assert buffer.getvalue() == reference_trace(history)
+
+
+def test_trace_csv_memory_does_not_grow_with_the_rows():
+    class Sink:
+        def write(self, text):
+            pass
+
+    def peak(rows):
+        history = awkward_history(rows)
+        tracemalloc.start()
+        try:
+            TraceCsvWriter(Sink())(history)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(4_000), peak(40_000)
+    assert large <= small + 64 * 1024
+    assert large < 1_000_000
 
 
 # ------------------------------------------------------------------------ svg

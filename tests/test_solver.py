@@ -258,6 +258,20 @@ def test_a_contact_at_the_certain_depth_overlaps_past_the_tolerance():
     assert checked > 2000
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_overlap_of_huge_circles_is_not_feasible():
+    # Depth 3e-4 r: past the overlap tolerance, short of the certain depth,
+    # so the verdict rests on total_overlap, whose lens product overflows
+    # at this scale.
+    r = 2.0**266
+    inst = ProblemInstance("huge", radii=[r, r], masses=[1.0, 1.0])
+    half = (2.0 - 3e-4) / 2.0 * r
+    assert 3e-4 * r < certain_overlap_depth(inst)
+    _, _, _, _, overlap, radius = evaluate([[-half, 0.0], [half, 0.0]], inst, 3.0 * r)
+    assert overlap > overlap_tolerance(inst)
+    assert radius is None
+
+
 def test_the_depth_rule_gives_the_verdict_of_the_total_overlap():
     # Random layouts with one contact pushed to about the certain depth (a
     # tenth to ten times it): the verdict with the rule equals the one the
