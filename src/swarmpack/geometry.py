@@ -82,11 +82,12 @@ def _partial_lens(d, r_a, r_b):
     # spanned by the two centers and an intersection point.
     d_a = d + r_a
     f_a, f_b, f_c, f_d = r_a + r_b - d, d_a - r_b, d - r_a + r_b, d_a + r_b
-    tri = f_a * f_b * f_c * f_d
-    root = np.sqrt(np.maximum(tri, 0.0))
     # Four lengths multiply past float range for radii above about 1e76,
     # and an inf root would make the area -inf. Only those elements take
     # the product as two square roots; the others keep their bits.
+    with np.errstate(over="ignore"):
+        tri = f_a * f_b * f_c * f_d
+    root = np.sqrt(np.maximum(tri, 0.0))
     over = tri == np.inf
     if over.any():
         root[over] = np.sqrt(np.maximum(f_a[over] * f_b[over], 0.0)) * np.sqrt(np.maximum(f_c[over] * f_d[over], 0.0))
@@ -166,18 +167,10 @@ def _sweep_contacts(p, r, skin=0.0) -> Contacts:
     # radius sum r_i + r_j (without the skin) as reach. Sort and sweep: with
     # the circles sorted by x, every partner circle i can touch lies in the
     # run of later circles whose x is within its own window
-    # w_i = fl(fl(r_i + r_max) + skin). No rounding margin is needed. A pair
-    # that _touching keeps has fl(d) < fl(fl(r_i + r_j) + skin) <= w_i, as
-    # rounding is monotone and r_j <= r_max. And fl(d) >= |dx| for
-    # dx = fl(x_j - x_i), because fl(sqrt(fl(dx * dx))) == |dx| (barring
-    # underflow below 1e-154) and adding fl(dy * dy) >= 0 cannot lower the
-    # sum. So fl(x_j - x_i) < w_i; by monotone rounding the exact
-    # x_j - x_i < w_i, and x_j <= fl(x_i + w_i). A window below zero (a
-    # negative radius) holds no later circle, so its run length is clamped
-    # to zero. NaN and inf coordinates need no special case: a pair with one
-    # never hits, wherever the sort puts it. A NaN radius makes r_max and
-    # every window NaN, and every later circle a candidate, since
-    # searchsorted puts NaN last.
+    # w_i = fl(fl(r_i + r_max) + skin), with no rounding margin and no case
+    # for NaN or inf; tests/test_exactness.py holds the argument. A window
+    # below zero (a negative radius) holds no later circle, so its run
+    # length is clamped to zero.
     n = p.shape[0]
     if n < 2:
         return Contacts(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))

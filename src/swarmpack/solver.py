@@ -14,16 +14,12 @@ reach f_max. A layout is feasible when the enclosing radius measured about
 its own gravity center fits the target and its total overlap is inside
 tolerance. The evaluation runs in this order, each step only when the ones
 before leave the verdict open: contacts, far edges and gravity center, the
-radius floor, the deepest contact, the enclosing radius, then the total
-overlap. The radius floor is max(|p_i| + r_i) - |cg|, a lower bound of the
-enclosing radius since |p_i - cg| >= |p_i| - |cg|; a floor above the target
-plus a rounding margin settles that the layout does not fit, without
-``enclosing_radius``. A layout that does not fit is infeasible whatever its
-overlap, and so is one with a contact at least ``certain_overlap_depth``
-deep, since that one lens alone exceeds the tolerance. Only the layouts
-that pass all three pay for ``total_overlap``, and only a feasible one
-carries a radius. A run stops once a layout's farthest edge or gravity
-center turns non-finite.
+deepest contact, the enclosing radius, then the total overlap. A layout with
+a contact at least ``certain_overlap_depth`` deep is infeasible whatever its
+radius, since that one lens alone exceeds the tolerance, and a layout that
+does not fit is infeasible whatever its overlap. Only the layouts that pass
+both pay for ``total_overlap``, and only a feasible one carries a radius. A
+run stops once a layout's farthest edge or gravity center turns non-finite.
 The initial layout goes through the same evaluation, against the starting
 target, and serves the first tick's forces; its verdict is not recorded.
 A layout judged without its overlap still gets its overlap row in the
@@ -98,14 +94,6 @@ def certain_overlap_depth(instance: ProblemInstance) -> float:
     return min(smallest, (4.0 * tol / math.sqrt(0.75 * smallest)) ** (2.0 / 3.0))
 
 
-def _cannot_fit(far_max: float, cgv: float, bar: float) -> bool:
-    # True when the radius floor far_max - cgv settles that the enclosing
-    # radius exceeds bar, the target plus FEASIBLE_RADIUS_EPS; a NaN or inf
-    # far_max or cgv makes it False. tests/test_exactness.py holds the
-    # rounding argument for the margin.
-    return far_max - cgv > bar + 1e-10 * (far_max + cgv + bar)
-
-
 def _evaluate(
     positions: np.ndarray,
     instance: ProblemInstance,
@@ -116,20 +104,19 @@ def _evaluate(
 ):
     # Returns (contacts, cg, cgv, edges, overlap, radius): radius is the
     # enclosing radius of a feasible layout and None on every other, overlap
-    # the total overlap where it was computed and None otherwise. The radius
-    # floor and then the deepest contact settle the verdict first: a layout
-    # that does not fit is infeasible whatever its overlap, and a contact at
-    # least certain_depth deep overlaps past the tolerance on its own. A NaN
-    # depth fails the comparison and falls through to enclosing_radius.
+    # the total overlap where it was computed and None otherwise. The deepest
+    # contact settles the verdict first: a contact at least certain_depth
+    # deep overlaps past the tolerance on its own. A NaN depth fails the
+    # comparison and falls through to enclosing_radius, and a NaN radius
+    # fails the radius test.
     contacts, edges = neighbours.layout(positions)
     cg = center_of_gravity(positions, instance.masses, instance.total_mass)
     cgv = cg_offset(cg)
-    bar = target_radius + FEASIBLE_RADIUS_EPS
     d = contacts.d
-    if _cannot_fit(edges.far_max, cgv, bar) or d.shape[0] and np.maximum.reduce(contacts.reach - d) >= certain_depth:
+    if d.shape[0] and np.maximum.reduce(contacts.reach - d) >= certain_depth:
         return contacts, cg, cgv, edges, None, None
     radius = enclosing_radius(positions, instance.radii, cg)
-    if not radius <= bar:
+    if not radius <= target_radius + FEASIBLE_RADIUS_EPS:
         return contacts, cg, cgv, edges, None, None
     overlap = total_overlap(positions, instance.radii, contacts=contacts)
     return contacts, cg, cgv, edges, overlap, radius if overlap <= overlap_tol else None
@@ -201,7 +188,9 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
         contacts, cg, cgv, edges, overlap, radius = _evaluate(
             positions, instance, target, overlap_tol, certain_depth, neighbours
         )
-        if not (math.isfinite(edges.far_max) and math.isfinite(cgv)):
+        # far_max is positive and cgv non-negative, so their difference is
+        # finite exactly when both are.
+        if not -math.inf < edges.far_max - cgv < math.inf:
             raise InvalidInputError(
                 f"layout turned non-finite at iteration {t} (farthest edge {edges.far_max!r}, "
                 f"gravity-center offset {cgv!r}); check the hyperparameter scales"

@@ -1,93 +1,68 @@
-"""Property tests of the exactness claims: a skip settles only what the full test would.
+"""Property tests of the exactness claims: a fast path gives the reference's bits.
 
-The radius floor (``solver._cannot_fit``): the floor max(|p_i| + r_i) - |cg|
-is a lower bound of the enclosing radius max(|p_i - cg| + r_i), since
-|p_i - cg| >= |p_i| - |cg|. The computed enclosing radius, floor and
-gravity-center offset each carry a relative error of a few ulps of
-far_max + cgv, so a floor above the bar by more than 1e-10 of
-far_max + cgv + bar settles that the computed enclosing radius exceeds the
-bar too, with room to spare. Where |p_i - cg| overflows to inf while |p_i|
-and |cg| stay finite, the enclosing radius is inf and exceeds every bar.
+The sweep window (``geometry._sweep_contacts``): with the circles sorted by
+x, every partner circle i can touch lies in the run of later circles whose x
+is within its own window w_i = fl(fl(r_i + r_max) + skin), and no rounding
+margin is needed. A pair that ``_touching`` keeps has
+fl(d) < fl(fl(r_i + r_j) + skin) <= w_i, as rounding is monotone and
+r_j <= r_max. And fl(d) >= |dx| for dx = fl(x_j - x_i), because
+fl(sqrt(fl(dx * dx))) == |dx| (barring underflow below 1e-154) and adding
+fl(dy * dy) >= 0 cannot lower the sum. So fl(x_j - x_i) < w_i; by monotone
+rounding the exact x_j - x_i < w_i, and x_j <= fl(x_i + w_i), which is what
+``searchsorted(x, x + window, side="right")`` keeps. NaN and inf coordinates
+need no special case: a pair with one never hits, wherever the sort puts it.
+A NaN radius makes r_max and every window NaN, and every later circle a
+candidate, since searchsorted puts NaN last.
 
-The layouts drawn here put the circles on one ray from the origin with a
-heavy circle innermost, so the gravity center lies on the ray just beyond it
-and the outermost far edge gives both maxima: the floor equals the enclosing
-radius, and only rounding parts the two computed values. Targets sit a few
-ulps either side of the floor and of the enclosing radius, where that
-rounding decides, and a relative distance below the floor, where the margin
-decides. Magnitudes run from 1e-2 to 1.3e154, the largest far edge whose
-square stays in float range.
+The layouts drawn here aim at the window's edge: chains of circles along x,
+each a few ulps either side of tangency (or of tangency plus the skin) with
+the last, among circles scattered nearby, at scales from 1e-3 to 1e150, with
+offsets up to 1e12 times the scale and radii over three decades, a few of
+them shared so that r_j = r_max is common. The sweep's contacts must equal
+``oracles.all_pairs_contacts``, which tests every pair, bitwise.
 """
-
-import math
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmpack import geometry, solver
-from swarmpack.model import ProblemInstance
-from swarmpack.solver import FEASIBLE_RADIUS_EPS, certain_overlap_depth, overlap_tolerance
+from swarmpack import geometry
 
-# The largest far edge drawn: its square, 1.69e308, stays below float max.
-TOP = 1.3e154
+from oracles import all_pairs_contacts
 
 
 @st.composite
-def ray_layouts(draw):
-    # A heavy circle at 1 on the unit ray, the others packed outward beyond
-    # it with gaps, at sizes 1e-9 to 1 of that distance; then the whole
-    # layout scaled so that its farthest edge lies at a drawn magnitude.
-    n = draw(st.integers(2, 6))
-    size = 10.0 ** draw(st.floats(-9.0, 0.0))
-    radii = [size * 10.0 ** draw(st.floats(-3.0, 0.0)) for _ in range(n)]
-    along = [1.0]
+def swept_layouts(draw):
+    n = draw(st.integers(2, 10))
+    scale = 10.0 ** draw(st.floats(-3.0, 150.0))
+    sizes = draw(st.lists(st.floats(-3.0, 0.0), min_size=1, max_size=3))
+    radii = np.array([scale * 10.0 ** draw(st.sampled_from(sizes)) for _ in range(n)])
+    skin = draw(st.sampled_from([0.0, 1e-6 * scale, scale]))
+    offset = draw(st.sampled_from([0.0, 1.0, -1.0])) * scale * 10.0 ** draw(st.floats(0.0, 12.0))
+    x, y = np.empty(n), np.empty(n)
+    x[0], y[0] = offset, offset * draw(st.floats(-1.0, 1.0))
     for k in range(1, n):
-        along.append(along[-1] + radii[k - 1] + radii[k] + size * draw(st.floats(0.0, 2.0)))
-    scale = 10.0 ** draw(st.floats(-2.0, math.log10(TOP))) / (along[-1] + radii[-1])
-    angle = draw(st.floats(0.0, 2.0 * math.pi))
-    ray = np.array([math.cos(angle), math.sin(angle)])
-    positions = (scale * np.array(along))[:, None] * ray
-    masses = [10.0 ** draw(st.floats(3.0, 8.0))] + [draw(st.floats(1.0, 5.0)) for _ in range(n - 1)]
-    return positions, ProblemInstance("ray", radii=scale * np.array(radii), masses=masses)
+        if draw(st.booleans()):
+            # Tangent to the last circle, or at its reach plus the skin,
+            # give or take a few ulps.
+            y[k] = y[k - 1]
+            x[k] = x[k - 1] + (radii[k - 1] + radii[k] + draw(st.sampled_from([0.0, skin])))
+            ulps = draw(st.integers(-4, 4))
+            for _ in range(abs(ulps)):
+                x[k] = np.nextafter(x[k], np.copysign(np.inf, ulps))
+        else:
+            x[k] = x[0] + scale * draw(st.floats(-2.0 * n, 2.0 * n))
+            y[k] = y[0] + scale * draw(st.floats(-2.0, 2.0))
+    # Shuffled, so the sweep's (min, max) orientation and (i, j) order count.
+    order = np.array(draw(st.permutations(range(n))))
+    return np.stack([x, y], axis=1)[order], radii[order], skin
 
 
-@st.composite
-def layouts_and_targets(draw):
-    positions, instance = draw(ray_layouts())
-    cg = geometry.center_of_gravity(positions, instance.masses)
-    far_max = geometry.far_edges(positions, instance.radii).far_max
-    floor = far_max - geometry.cg_offset(cg)
-    exact = geometry.enclosing_radius(positions, instance.radii, cg)
-    if draw(st.booleans()):
-        # bar = target + FEASIBLE_RADIUS_EPS a few ulps off the floor or the
-        # enclosing radius.
-        target = draw(st.sampled_from([floor, exact])) - FEASIBLE_RADIUS_EPS
-        target += draw(st.integers(-6, 6)) * (np.nextafter(target, math.inf) - target)
-    else:
-        # A relative distance below the floor, across the margin's 1e-10.
-        target = floor * (1.0 - 10.0 ** draw(st.floats(-16.0, -1.0)))
-    return positions, instance, float(target)
-
-
-def evaluate(positions, instance, target):
-    # Without a skin the NeighbourList searches every call.
-    neighbours = geometry.NeighbourList(instance.radii, 0.0)
-    tol, depth = overlap_tolerance(instance), certain_overlap_depth(instance)
-    return solver._evaluate(positions, instance, target, tol, depth, neighbours)
-
-
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(layouts_and_targets())
-def test_the_radius_floor_settles_only_layouts_that_do_not_fit(case):
-    positions, instance, target = case
-    bar = target + FEASIBLE_RADIUS_EPS
-    cg = geometry.center_of_gravity(positions, instance.masses)
-    far_max = geometry.far_edges(positions, instance.radii).far_max
-    if solver._cannot_fit(far_max, geometry.cg_offset(cg), bar):
-        assert geometry.enclosing_radius(positions, instance.radii, cg) > bar
-    *_, overlap, radius = evaluate(positions, instance, target)
-    with mock.patch.object(solver, "_cannot_fit", lambda *args: False):
-        *_, want_overlap, want_radius = evaluate(positions, instance, target)
-    assert (overlap, radius) == (want_overlap, want_radius)
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(swept_layouts())
+def test_the_sweep_finds_every_pair_the_all_pairs_search_finds(case):
+    positions, radii, skin = case
+    got = geometry._sweep_contacts(positions, radii, skin)
+    want = all_pairs_contacts(positions, radii, skin)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -108,7 +108,6 @@ def test_lens_vector_path_matches_scalar_calls():
 HUGE = 2.0**266
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("depth", [2e-6, 1e-3, 0.3])
 def test_lens_areas_of_huge_disks_scale_with_the_square_of_the_radius(depth):
     unit = total_overlap([(0.0, 0.0), (2.0 - depth, 0.0)], [1.0, 1.0])

@@ -258,7 +258,6 @@ def test_a_contact_at_the_certain_depth_overlaps_past_the_tolerance():
     assert checked > 2000
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_an_overlap_of_huge_circles_is_not_feasible():
     # Depth 3e-4 r: past the overlap tolerance, short of the certain depth,
     # so the verdict rests on total_overlap, whose lens product overflows
@@ -336,9 +335,9 @@ def test_overlap_rows_do_not_depend_on_the_depth_rule(monkeypatch, name, n_it):
 @pytest.mark.parametrize("name, n_it", [("I1", 3000), ("II1", 1000), ("II2", 1500)])
 def test_the_depth_rule_before_the_enclosing_radius_changes_no_verdict(monkeypatch, name, n_it):
     # Every layout a solve judges is judged again with the rule off (a
-    # depth no contact reaches), where enclosing_radius runs on every layout
-    # the floor leaves open: the radius, None unless feasible, and any
-    # overlap the evaluation returns are the same.
+    # depth no contact reaches), where enclosing_radius runs on every layout:
+    # the radius, None unless feasible, and any overlap the evaluation
+    # returns are the same.
     # Some layouts skip enclosing_radius only through the rule. The result
     # and History bytes of a run without the rule are compared by
     # test_overlap_rows_do_not_depend_on_the_depth_rule.
@@ -413,12 +412,10 @@ def count_verdicts(monkeypatch, module, name):
     ],
 )
 def test_the_bounds_never_change_a_result(monkeypatch, name, n_it, seed, tunables):
-    # The radius floor and the force-cap bound only skip work: with both
-    # helpers patched to settle nothing, every History column and the
-    # result JSON keep their bytes.
+    # The force-cap bound only skips work: with the helper patched to settle
+    # nothing, every History column and the result JSON keep their bytes.
     inst = CORPUS.get(name)
     hp = Hyperparameters(n_it=n_it, seed=seed, **tunables)
-    floor = count_verdicts(monkeypatch, solver, "_cannot_fit")
     cap = count_verdicts(monkeypatch, forces, "_cap_cannot_bind")
     capped = []
     assemble = solver.assemble_forces
@@ -430,76 +427,20 @@ def test_the_bounds_never_change_a_result(monkeypatch, name, n_it, seed, tunable
 
     monkeypatch.setattr(solver, "assemble_forces", noting_the_cap)
     bounded = solve(inst, hp)
-    monkeypatch.setattr(solver, "_cannot_fit", lambda *args: False)
     monkeypatch.setattr(forces, "_cap_cannot_bind", lambda *args: False)
     exact = solve(inst, hp)
     assert format_result_json(bounded) == format_result_json(exact)
     assert columns_bytes(bounded.history) == columns_bytes(exact.history)
-    # Both branches of each bound ran, except the cap bound on I1 at the
-    # defaults, where no tick comes near f_max.
-    assert floor[True] and floor[False]
+    # Both branches of the bound ran, except on I1 at the defaults, where no
+    # tick comes near f_max.
     assert cap[True] and (cap[False] or (name == "I1" and not tunables))
     assert any(capped) == bool(tunables)
 
 
-def far_off_center_layouts(rng):
-    # Circles on one ray from the origin, a heavy one far out: the gravity
-    # center lies on the ray, so for the outermost circle beyond it
-    # |p - cg| = |p| - |cg| and the radius floor equals the enclosing
-    # radius up to rounding, at offsets up to 1e6 times the radii.
-    for _ in range(150):
-        n = int(rng.integers(2, 9))
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        ray = np.array([math.cos(angle), math.sin(angle)])
-        offset = float(10.0 ** rng.uniform(0.0, 6.0))
-        along = offset + np.concatenate(([0.0], rng.uniform(-20.0, 20.0, n - 1)))
-        radii = rng.uniform(0.5, 5.0, n)
-        masses = np.concatenate(([1e4], rng.uniform(1.0, 5.0, n - 1)))
-        yield along[:, None] * ray, ProblemInstance("ray", radii=radii, masses=masses)
-
-
-def test_the_radius_floor_gives_the_exact_verdict_near_the_bar(monkeypatch):
-    # Targets whose bar target + FEASIBLE_RADIUS_EPS lies a few ulps either
-    # side of the floor, and of the enclosing radius, and far below them:
-    # the overlap and radius equal those of the evaluation without the
-    # floor, and the radius is enclosing_radius's on every feasible verdict
-    # and None on every other.
-    rng = np.random.default_rng(2020)
-    fired = near = compared = 0
-    for positions, inst in far_off_center_layouts(rng):
-        cg = geometry.center_of_gravity(positions, inst.masses)
-        floor = geometry.far_edges(positions, inst.radii).far_max - geometry.cg_offset(cg)
-        exact = enclosing_radius(positions, inst.radii, cg)
-        clear = total_overlap(positions, inst.radii) <= overlap_tolerance(inst)
-        targets = [0.5 * floor]
-        for edge in (floor, exact):
-            target = edge - FEASIBLE_RADIUS_EPS
-            for step in range(-4, 5):
-                targets.append(target + step * (np.nextafter(target, np.inf) - target))
-        for target in targets:
-            with monkeypatch.context() as m:
-                settled = count_verdicts(m, solver, "_cannot_fit")
-                *_, overlap, radius = evaluate(positions, inst, target)
-            with monkeypatch.context() as m:
-                m.setattr(solver, "_cannot_fit", lambda *args: False)
-                *_, want_overlap, want_radius = evaluate(positions, inst, target)
-            assert (overlap, radius) == (want_overlap, want_radius)
-            fits = exact <= target + FEASIBLE_RADIUS_EPS
-            assert radius == (exact if fits and clear else None)
-            compared += fits and clear
-            fired += settled[True]
-            near += target != targets[0] and settled[False]
-            assert not (fits and settled[True])
-    assert fired >= 150 and near > 2000 and compared > 150
-
-
-def test_the_radius_floor_never_settles_a_non_finite_layout(monkeypatch):
-    # A NaN or inf far edge or gravity-center offset fails the floor test.
-    for far_max, cgv in ((math.nan, 0.0), (math.inf, 0.0), (1e3, math.nan), (math.inf, math.inf), (1e3, math.inf)):
-        assert not solver._cannot_fit(far_max, cgv, 1.0)
+def test_an_overflowing_enclosing_radius_reads_as_infeasible(monkeypatch):
     # |p| and |cg| stay below the float limit, but the gravity center on the
-    # other side puts |p - cg| past it. The floor settles that the layout
-    # does not fit, and the run, whose state is finite, goes on.
+    # other side puts |p - cg| past it. enclosing_radius is inf, so the
+    # layout does not fit, and the run, whose state is finite, goes on.
     inst = ProblemInstance("far", radii=[1.0, 1.0], masses=[1.0, 1000.0])
     layout = np.array([[1.3e154, 0.0], [-1.3e154, 0.0]])
     with np.errstate(over="ignore"):
