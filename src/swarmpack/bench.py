@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from typing import IO, Optional, Sequence
 
@@ -72,6 +71,10 @@ def run_bench(
     task_instances = [inst for inst in instances for _ in range(reps)]
     task_hps = [replace(hp, seed=hp.seed + k) for _ in instances for k in range(reps)]
     if jobs > 1 and len(task_hps) > 1:
+        # Imported here: multiprocessing would otherwise load into every
+        # process that imports the CLI, serial runs included.
+        from concurrent.futures import ProcessPoolExecutor
+
         # The pool starts all max_workers at the first submit: no more than there are runs.
         with ProcessPoolExecutor(max_workers=min(jobs, len(task_hps))) as pool:
             summaries = list(pool.map(run_single, task_instances, task_hps))

@@ -16,8 +16,11 @@ def integrate_step(
     Velocities update first and positions move with the *new* velocity; the
     speed clamp afterwards keeps any single tick from teleporting a circle
     across the container. A speed that overflows to inf has no direction
-    left to clamp to and raises InvalidInputError. ``forces`` is an (N, 2)
-    array and ``masses`` the instance's positive float array.
+    left to clamp to and raises InvalidInputError. Masses are inertia too
+    (a = F / m), so tiny masses overflow it as a huge dt does; numpy warns
+    of the overflow first unless the caller has overflow warnings off, as
+    ``solve`` has. ``forces`` is an (N, 2) array and ``masses`` the
+    instance's positive float array.
     """
     vel = forces / masses[:, None]
     vel *= hp.dt
@@ -26,7 +29,9 @@ def integrate_step(
     top = np.maximum.reduce(speed)
     if top > hp.v_max:
         if top == np.inf:
-            raise InvalidInputError("speed overflowed to inf; check the dt, f_max and v_max scales")
+            raise InvalidInputError(
+                "speed overflowed to inf; check the mass scale (a = F / m) and the dt, f_max and v_max scales"
+            )
         over = speed > hp.v_max
         vel[over] *= (hp.v_max / speed[over])[:, None]
     step = vel * hp.dt

@@ -190,12 +190,15 @@ def _sweep_contacts(p, r, skin=0.0) -> Contacts:
 
 
 # Verlet skin of a NeighbourList, in ticks of top-speed travel v_max * dt
-# (skin 16 at the defaults). Measured on full-budget seed-0 II2 solves
-# (2-vCPU VM, numpy 2.4), three interleaved rounds: in 15 000 ticks, 2 ticks
-# rebuilt 3 468 times at 162-227 us/tick, 4 ticks 1 822 times at 142-186,
-# 6 ticks 1 231 times at 156-176, 8 ticks 927 times at 163-194 and 12 ticks
-# 612 times at 135-185. Every choice ran within host noise of the others.
-SKIN_TICKS = 8.0
+# (skin 40 at the defaults). A wider skin rebuilds less often and leaves
+# more candidates for every tick to filter. Seed-0 full-budget solves at
+# skins of 8 / 16 / 20 / 24 / 32 ticks (BENCH_26.json, 2-vCPU VM, numpy
+# 2.4): II2 (N=150) rebuilt 927 / 449 / 354 / 286 / 201 times in 15 000
+# ticks, kept 220 / 332 / 385 / 450 / 597 candidates, and ran at a median
+# 77.6 / 73.6 / 66.7 / 66.9 / 72.9 us per tick over eight interleaved
+# rounds. I1, I10, II1 and II3 stayed within host noise from 8 to 24 ticks
+# and slowed at 32.
+SKIN_TICKS = 20.0
 
 
 class NeighbourList:

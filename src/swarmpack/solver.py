@@ -178,40 +178,46 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
     best_positions: Optional[np.ndarray] = None
     queued = _OverlapQueue(instance.radii, overlap_col)
 
-    for t in range(1, hp.n_it + 1):
-        target = schedule.target_radius
-        forces = assemble_forces(positions, velocities, instance, target, hp, contacts, cg, edges, cgv)
-        try:
-            positions, velocities = integrate_step(positions, velocities, forces, masses, hp)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"iteration {t}: {exc}") from None
-        contacts, cg, cgv, edges, overlap, radius = _evaluate(
-            positions, instance, target, overlap_tol, certain_depth, neighbours
-        )
-        # far_max is positive and cgv non-negative, so their difference is
-        # finite exactly when both are.
-        if not -math.inf < edges.far_max - cgv < math.inf:
-            raise InvalidInputError(
-                f"layout turned non-finite at iteration {t} (farthest edge {edges.far_max!r}, "
-                f"gravity-center offset {cgv!r}); check the hyperparameter scales"
+    # The ticks run with numpy's overflow warnings off, entered once per
+    # solve: an errstate in integrate_step would add six calls to every
+    # tick. A speed that overflows stops the run with a message naming the
+    # masses and scales, and a layout that overflows stops at its
+    # non-finite far edge or reads as infeasible.
+    with np.errstate(over="ignore"):
+        for t in range(1, hp.n_it + 1):
+            target = schedule.target_radius
+            forces = assemble_forces(positions, velocities, instance, target, hp, contacts, cg, edges, cgv)
+            try:
+                positions, velocities = integrate_step(positions, velocities, forces, masses, hp)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"iteration {t}: {exc}") from None
+            contacts, cg, cgv, edges, overlap, radius = _evaluate(
+                positions, instance, target, overlap_tol, certain_depth, neighbours
             )
-        target_col[t - 1] = target
-        cgv_col[t - 1] = cgv
-        if overlap is not None:
-            overlap_col[t - 1] = overlap
-        elif contacts.d.shape[0]:
-            queued.add(t - 1, contacts)
-        else:
-            overlap_col[t - 1] = 0.0
-        if radius is not None:
-            actual_col[t - 1] = radius
-            if best_radius is None or radius < best_radius:
-                best_radius = radius
-                best_iteration = t
-                best_positions = positions - cg
-            schedule.on_feasible(radius, t, hp)
-        else:
-            schedule.on_infeasible(hp)
+            # far_max is positive and cgv non-negative, so their difference is
+            # finite exactly when both are.
+            if not -math.inf < edges.far_max - cgv < math.inf:
+                raise InvalidInputError(
+                    f"layout turned non-finite at iteration {t} (farthest edge {edges.far_max!r}, "
+                    f"gravity-center offset {cgv!r}); check the hyperparameter scales"
+                )
+            target_col[t - 1] = target
+            cgv_col[t - 1] = cgv
+            if overlap is not None:
+                overlap_col[t - 1] = overlap
+            elif contacts.d.shape[0]:
+                queued.add(t - 1, contacts)
+            else:
+                overlap_col[t - 1] = 0.0
+            if radius is not None:
+                actual_col[t - 1] = radius
+                if best_radius is None or radius < best_radius:
+                    best_radius = radius
+                    best_iteration = t
+                    best_positions = positions - cg
+                schedule.on_feasible(radius, t, hp)
+            else:
+                schedule.on_infeasible(hp)
     queued.flush()
 
     return SolveResult(

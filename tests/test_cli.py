@@ -1,8 +1,12 @@
 import argparse
+import concurrent.futures
 import csv
 import io
 import json
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
@@ -308,10 +312,23 @@ def test_bench_starts_no_more_workers_than_runs(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+    # run_bench imports the pool from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     summaries, _ = run_bench([CORPUS.get("I1")], 2, Hyperparameters(n_it=50), jobs=64)
     assert started == [2]
     assert [s.seed for s in summaries] == [0, 1]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # A serial run never needs multiprocessing, and loading it costs every
+    # process that imports the CLI memory and start-up time.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import swarmpack.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_run_bench_rejects_repeated_names(monkeypatch):

@@ -302,6 +302,9 @@ def test_one_layout_pass_gives_contact_pairs_and_far_edges_along_a_solve(monkeyp
     solve(inst, hp)
     neighbours = NeighbourList(inst.radii, hp.v_max * hp.dt)
     anchor = None
+    # Rebuilds after the first, split into those forced by a spliced frame
+    # (the broken frame and the one after it) and those the moves call for.
+    forced = natural = 0
     for k, positions in enumerate(layouts):
         frames = [positions]
         if k % 40 == 20:
@@ -313,8 +316,13 @@ def test_one_layout_pass_gives_contact_pairs_and_far_edges_along_a_solve(monkeyp
             assert_same_contacts(neighbours, frame, inst.radii)
             rebuilt = anchor is None or not ((frame - anchor) ** 2).sum(axis=1).max() <= neighbours._limit_sq
             assert neighbours.rebuilds - before == rebuilt
+            if len(frames) == 2:
+                forced += rebuilt
+            elif anchor is not None:
+                natural += rebuilt
             anchor = frame if rebuilt else anchor
-    assert len(layouts) // 20 < neighbours.rebuilds < len(layouts) // 4
+    assert forced == 2 * len(range(20, len(layouts), 40))
+    assert natural > 0
 
 
 # ------------------------------------------------- per-circle formulas (oracles)

@@ -493,6 +493,15 @@ def test_speed_overflow_stops_the_run():
         solve(CORPUS.get("I1"), Hyperparameters(dt=1e200, n_it=50))
 
 
+def test_tiny_masses_stop_the_run_naming_the_masses():
+    # Masses are inertia too (a = F / m): at 1e-160 the first tick's speed
+    # overflows. The message points at the masses, and no numpy warning
+    # escapes the solve (Tier-1 turns one into an error).
+    tiny = ProblemInstance("tiny", radii=[1.0, 2.0, 1.5], masses=[1e-160, 2e-160, 1.5e-160])
+    with pytest.raises(InvalidInputError, match=r"iteration 1: speed overflowed to inf; check the mass scale"):
+        solve(tiny, Hyperparameters(n_it=50))
+
+
 def test_history_is_four_float_columns():
     inst = ProblemInstance("traced", radii=[1.0, 1.0], masses=[1.0, 1.0])
     history = solve(inst, Hyperparameters(n_it=40, seed=5)).history
