@@ -22,11 +22,12 @@ def integrate_step(
     ``solve`` has. ``forces`` is an (N, 2) array and ``masses`` the
     instance's positive float array.
     """
+    dt = hp.operands.dt
     vel = forces / masses[:, None]
-    vel *= hp.dt
+    vel *= dt
     vel += velocities
     speed = row_norms(vel)
-    top = np.maximum.reduce(speed)
+    top = speed[speed.argmax()]
     if top > hp.v_max:
         if top == np.inf:
             raise InvalidInputError(
@@ -34,6 +35,6 @@ def integrate_step(
             )
         over = speed > hp.v_max
         vel[over] *= (hp.v_max / speed[over])[:, None]
-    step = vel * hp.dt
+    step = vel * dt
     step += positions
     return step, vel

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Contacts, FarEdges, center_of_gravity, cg_offset, far_edges, row_norms
-from .model import Hyperparameters, ProblemInstance
+from .model import Hyperparameters, ProblemInstance, scalar_operand
 
 # A pair triggers the separation push when the centers are closer than the
 # radius sum minus this slack; a circle counts as contained when its far
@@ -43,6 +43,10 @@ CONTAINMENT_EPS = 1e-12
 # Added to every distance a push divides by, so coincident centers give a
 # finite push; a gravity center closer than this to the origin gets no pull.
 EPSILON = 1e-9
+# The 0-d twins the per-tick array ops take (model.scalar_operand).
+_TRIGGER_EPS = scalar_operand(OVERLAP_TRIGGER_EPS)
+_EPSILON = scalar_operand(EPSILON)
+_ZERO = scalar_operand(0.0)
 
 
 def find_overlap_pairs(radii, contacts: Contacts) -> np.ndarray:
@@ -58,7 +62,7 @@ def find_overlap_pairs(radii, contacts: Contacts) -> np.ndarray:
     come in ascending order: first those below it, then those above.
     """
     i, j, d, reach = contacts
-    hit = d < reach - OVERLAP_TRIGGER_EPS
+    hit = d < reach - _TRIGGER_EPS
     pairs = np.array((i[hit], j[hit])).T
     return np.concatenate((pairs[:, ::-1], pairs))
 
@@ -84,6 +88,7 @@ def assemble_forces(
     given. The container is centered on the origin.
     """
     p, v, r = positions, velocities, instance.radii
+    ops = hp.operands
 
     total = np.zeros(p.shape)
 
@@ -93,13 +98,13 @@ def assemble_forces(
         # (j, i) rows and once for the (i, j) rows. Unpacked by position: a
         # plain (i, j, d, reach) tuple serves as contacts too.
         _, _, d, reach = contacts
-        d = d[d < reach - OVERLAP_TRIGGER_EPS]
+        d = d[d < reach - _TRIGGER_EPS]
         dist = np.concatenate((d, d))
-        dist += EPSILON
+        dist += _EPSILON
         src = pairs[:, 0]
         push = p.take(pairs[:, 1], 0) - p.take(src, 0)
         push /= dist[:, None]
-        push *= -hp.v_max
+        push *= ops.neg_v_max
         push -= v.take(src, 0)
         # np.add.at applies the rows in array order, which holds each
         # source's partners in ascending order.
@@ -107,7 +112,7 @@ def assemble_forces(
 
     toward = _unit_toward(cg, cgv)
     if toward is not None:
-        total -= hp.alpha * (instance.mass_share * toward)
+        total -= ops.alpha * (instance.mass_share * toward)
 
     # Containment: p / |p| points away from the origin, so the push toward
     # it is that direction times -v_max. With every circle inside (the
@@ -120,19 +125,30 @@ def assemble_forces(
     bar = target_radius + CONTAINMENT_EPS
     if not edges.far_max <= bar:
         inside = edges.far <= bar
-        push = p / (edges.dist + EPSILON)[:, None]
-        push *= -hp.v_max
+        push = p / (edges.dist + _EPSILON)[:, None]
+        push *= ops.neg_v_max
         push -= v
-        np.copyto(push, 0.0, where=inside[:, None])
+        np.copyto(push, _ZERO, where=inside[:, None])
         total += push
 
     if _cap_cannot_bind(pairs.shape[0] // 2, instance, hp):
         return total
     norms = row_norms(total)
-    # Written so that a NaN norm also takes the branch, which then scales
-    # exactly the rows at or above the cap.
-    if not np.maximum.reduce(norms) < hp.f_max:
+    # Written so that a NaN norm also takes the branch (argmax finds the
+    # first NaN), which then scales exactly the rows at or above the cap.
+    if not norms[norms.argmax()] < hp.f_max:
         over = norms >= hp.f_max
+        wide = norms == np.inf
+        if wide.any():
+            # A row of finite components whose norm overflows would be
+            # zeroed by f_max / inf. It is divided by its largest component
+            # first, which leaves a norm between 1 and sqrt(2) to cap.
+            wide &= np.isfinite(total).all(axis=1)
+            over &= ~wide
+            rows = total[wide]
+            rows /= np.abs(rows).max(axis=1)[:, None]
+            rows *= (hp.f_max / row_norms(rows))[:, None]
+            total[wide] = rows
         total[over] *= (hp.f_max / norms[over])[:, None]
     return total
 

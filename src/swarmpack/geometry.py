@@ -13,6 +13,7 @@ sites and convert transparently via ``np.asarray``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -224,9 +225,12 @@ class NeighbourList:
         # round with a relative error of a few ulps each, so the margin is
         # 16 eps of the widest reach 2 * r_max + skin; a margin that eats
         # the whole half-skin makes every call rebuild, which stays exact.
+        # The limit is a Python float, whose square overflows to inf without
+        # a warning; it is held below inf, so that a move whose square
+        # overflows still rebuilds.
         widest = 2.0 * float(self.radii.max()) + self.skin if self.radii.size else self.skin
-        limit = 0.5 * self.skin - 16.0 * np.finfo(float).eps * widest
-        self._limit_sq = limit * limit if limit > 0.0 else -1.0
+        limit = 0.5 * self.skin - 16.0 * sys.float_info.epsilon * widest
+        self._limit_sq = min(limit * limit, sys.float_info.max) if limit > 0.0 else -1.0
         self._anchor: Optional[np.ndarray] = None
         self._i = self._j = self._reach = None
         self.rebuilds = 0
@@ -247,7 +251,7 @@ class NeighbourList:
         # Written so that NaN, from a NaN or inf position, also rebuilds.
         # Right after a rebuild the moves are not checked: those of a NaN
         # layout stay NaN and would rebuild again.
-        if sq is None or not np.maximum.reduce(sq[n : 2 * n]) <= self._limit_sq:
+        if sq is None or not sq[n + sq[n : 2 * n].argmax()] <= self._limit_sq:
             self._anchor = p.copy()
             self._i, self._j, _, self._reach = _sweep_contacts(p, self.radii, self.skin)
             self.rebuilds += 1
@@ -259,7 +263,7 @@ class NeighbourList:
         hit = d < self._reach
         return (
             Contacts(self._i[hit], self._j[hit], d[hit], self._reach[hit]),
-            FarEdges(dist, far, float(np.maximum.reduce(far))),
+            FarEdges(dist, far, float(far[far.argmax()])),
         )
 
     def _squared_rows(self, p):
@@ -352,7 +356,7 @@ def far_edges(positions, radii) -> FarEdges:
     """
     dist = row_norms(positions)
     far = dist + radii
-    return FarEdges(dist, far, float(np.maximum.reduce(far)))
+    return FarEdges(dist, far, float(far[far.argmax()]))
 
 
 def enclosing_radius(positions, radii, center=(0.0, 0.0)) -> float:
@@ -364,4 +368,4 @@ def enclosing_radius(positions, radii, center=(0.0, 0.0)) -> float:
     c = np.asarray(center, dtype=float).reshape(2)
     reach = row_norms(p - c)
     reach += r
-    return float(np.maximum.reduce(reach))
+    return float(reach[reach.argmax()])

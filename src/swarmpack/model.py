@@ -14,6 +14,26 @@ class InvalidInputError(ValueError):
     """Instance or hyperparameter data that fails validation."""
 
 
+def scalar_operand(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, a scalar operand for per-tick array ops.
+
+    An array op takes a 0-d float64 operand with less overhead than a Python
+    float (about 380 against 580 ns at numpy 2.4), and with float64 arrays
+    the result has the same bits.
+    """
+    operand = np.array(value, dtype=float)
+    operand.setflags(write=False)
+    return operand
+
+
+class TickOperands(NamedTuple):
+    """The scalar operands of the tick's array ops, each a ``scalar_operand``."""
+
+    neg_v_max: np.ndarray
+    alpha: np.ndarray
+    dt: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """A named set of weighted circles to pack; invalid data raises InvalidInputError."""
@@ -115,6 +135,16 @@ class Hyperparameters:
     def tunables(self) -> dict:
         """Every field except the seed, by name, as the reports write them."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"}
+
+    @cached_property
+    def operands(self) -> TickOperands:
+        """-v_max, alpha and dt as the tick passes them to array ops.
+
+        Not a field: it is cached on the instance, takes no part in eq,
+        hash or the reports, and ``dataclasses.replace`` builds a new
+        instance that computes its own.
+        """
+        return TickOperands(scalar_operand(-self.v_max), scalar_operand(self.alpha), scalar_operand(self.dt))
 
 
 def finite_number(value) -> Optional[float]:

@@ -112,9 +112,10 @@ def _evaluate(
     contacts, edges = neighbours.layout(positions)
     cg = center_of_gravity(positions, instance.masses, instance.total_mass)
     cgv = cg_offset(cg)
-    d = contacts.d
-    if d.shape[0] and np.maximum.reduce(contacts.reach - d) >= certain_depth:
-        return contacts, cg, cgv, edges, None, None
+    if contacts.d.shape[0]:
+        gap = contacts.reach - contacts.d
+        if gap[gap.argmax()] >= certain_depth:
+            return contacts, cg, cgv, edges, None, None
     radius = enclosing_radius(positions, instance.radii, cg)
     if not radius <= target_radius + FEASIBLE_RADIUS_EPS:
         return contacts, cg, cgv, edges, None, None

@@ -7,6 +7,13 @@ time does. ``sys.setprofile`` sees one ``call`` event per Python call and one
 raise none. The count depends on the interpreter and on numpy's Python
 wrappers, so the test runs only on the versions the ceilings were taken
 with. A change that raises the count re-pins MEASURED and says why.
+
+The gauge counts calls, not what each costs. ``np.maximum.reduce(x)`` and
+``x[x.argmax()]`` count as one C call each, yet the first took about 0.9 us
+and the second 0.3 us at numpy 2.4; an array op with a Python-float operand
+costs about 200 ns more than with a 0-d float64 array, and neither raises
+an event. So the tick can get faster without the count moving, and a
+speed claim rests on perfbench, not on this test.
 """
 
 import sys
@@ -23,7 +30,7 @@ PINNED_NUMPY = "2.4"
 
 # Python + C calls per tick, counted over a whole seed-0 solve of (instance,
 # ticks) and divided by the ticks.
-MEASURED = {("I1", 2000): 43.73, ("II1", 1000): 46.30}
+MEASURED = {("I1", 2000): 43.74, ("II1", 1000): 46.31}
 # The ceiling's headroom over MEASURED.
 SLACK = 1.015
 

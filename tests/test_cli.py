@@ -193,7 +193,6 @@ def test_a_stopped_run_writes_no_trace_file(tmp_path, capsys):
     assert not trace.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_speed_overflow_exits_with_2(capsys):
     # Finite forces times dt=1e200 overflow the speed; the run stops at once
     # instead of freezing the swarm and reporting no feasible layout.
@@ -201,7 +200,6 @@ def test_speed_overflow_exits_with_2(capsys):
     assert "error: iteration 1: speed overflowed to inf" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_far_edge_overflow_exits_with_2(capsys):
     # Speeds and the gravity center stay finite, but the swarm drifts until
     # a circle's origin distance overflows: the run stops on its far edge.

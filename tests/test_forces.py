@@ -254,6 +254,17 @@ def test_neighbour_list_rebuilds_on_non_finite_states():
             assert neighbours.rebuilds - before == 2
 
 
+def test_neighbour_list_rebuilds_on_a_move_whose_square_overflows():
+    # A skin past 1e154: the squared rebuild limit overflows, and so does
+    # the squared move of a circle that jumps from 1e200 into contact.
+    radii = np.array([1.0, 1.0])
+    neighbours = NeighbourList(radii, 1e160)
+    with np.errstate(over="ignore"):
+        assert_same_contacts(neighbours, np.array([[0.0, 0.0], [1e200, 0.0]]), radii)
+        assert_same_contacts(neighbours, np.array([[0.0, 0.0], [1.0, 0.0]]), radii)
+    assert neighbours.rebuilds == 2
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_contacts_carry_each_radius_sum_bitwise():
     # reach is radii[i] + radii[j] to the bit, from the stateless search, a
@@ -597,3 +608,15 @@ def test_assembled_norms_respect_the_cap():
         total = forces_of(state, inst, 1.0, hp)
         norms = np.sqrt((total ** 2).sum(axis=1))
         assert np.all(norms <= hp.f_max * (1 + 1e-12))
+
+
+def test_a_row_whose_norm_overflows_is_capped_not_zeroed():
+    # Pushes of 1e155 have finite components, but their norms overflow to
+    # inf, and f_max / inf would zero both rows.
+    inst = make_instance([1.0, 1.0])
+    state = make_state([[-0.3, -0.4], [0.3, 0.4]])
+    hp = Hyperparameters(v_max=1e155, f_max=1.0)
+    with np.errstate(over="ignore"):
+        total = forces_of(state, inst, 10.0, hp)
+    assert np.all(np.abs(np.hypot(*total.T) - hp.f_max) <= 4 * np.spacing(hp.f_max))
+    np.testing.assert_allclose(total, [[-0.6, -0.8], [0.6, 0.8]], rtol=1e-15)
