@@ -59,12 +59,8 @@ def lens_area_from_distance(d, r_a, r_b):
     of going NaN.
     """
     partial = d > np.abs(r_a - r_b)
-    if partial.all():
-        # The common case in a packing: no gather, no scatter.
-        return _partial_lens(d, r_a, r_b)
     out = math.pi * np.minimum(r_a, r_b) ** 2
-    if partial.any():
-        out[partial] = _partial_lens(d[partial], r_a[partial], r_b[partial])
+    out[partial] = _partial_lens(d[partial], r_a[partial], r_b[partial])
     return out
 
 
@@ -78,7 +74,14 @@ def _partial_lens(d, r_a, r_b):
     cos = (d * d + r_sq - r_sq[::-1]) / ((2.0 * d) * r)
     np.minimum(cos, 1.0, out=cos)
     np.maximum(cos, -1.0, out=cos)
-    sector = r_sq * np.arccos(cos)
+    # The arccos comes from libm, one element at a time, not np.arccos.
+    # numpy's float64 arccos calls libm too, except on CPUs where it
+    # dispatches to its AVX-512 loop, which rounds 7-9% of results
+    # differently (numpy 2.4). So with libm a layout's bytes do not depend
+    # on the CPU. The kernel runs on few ticks (200-300 calls of 190-260
+    # pairs in a full-budget solve), so the Python-level loop costs about
+    # 1% of a solve.
+    sector = r_sq * np.fromiter(map(math.acos, cos.ravel().tolist()), float, cos.size).reshape(cos.shape)
     # Heron-style product: the sqrt is four times the triangle area
     # spanned by the two centers and an intersection point.
     d_a = d + r_a

@@ -1,11 +1,11 @@
 """Independent reference computations used by the test suite.
 
 Each function recomputes a quantity along a path disjoint from the library
-implementation: areas by counting uniform samples, gradients by central
-differences, schedule values from the decay law in its power arrangement,
-forces one circle and one contribution at a time, contacts by testing
-every pair, milestones one record at a time, trace CSVs one csv.writer row
-at a time.
+implementation: areas by counting uniform samples, and one pair at a time
+in Python floats with libm's acos; gradients by central differences,
+schedule values from the decay law in its power arrangement, forces one
+circle and one contribution at a time, contacts by testing every pair,
+milestones one record at a time, trace CSVs one csv.writer row at a time.
 Keep these free of swarmpack imports so a bug cannot leak into its own check.
 """
 
@@ -53,6 +53,34 @@ def mc_lens_area(d, r_a, r_b, n_samples=10_000_000, seed=0, chunk=2_500_000):
         hits += int(np.count_nonzero(inside))
         left -= k
     return box_area * hits / n_samples
+
+
+def lens_area_by_libm(d, r_a, r_b):
+    """Lens area of disks r_a and r_b whose centres lie d < r_a + r_b apart, in Python floats.
+
+    One pair at a time with ``math.acos`` and ``math.sqrt``, in the lens
+    kernel's order of operations: each disk's cosine clipped to [-1, 1],
+    the two sectors, the Heron-style root, then ``- 0.5 * root``. A
+    contained pair (d <= |r_a - r_b|) overlaps in the smaller disk. Every
+    step is one correctly rounded operation or a libm call, so the kernel
+    must equal this bitwise.
+    """
+    if d <= abs(r_a - r_b):
+        r = min(r_a, r_b)
+        return math.pi * (r * r)
+    sectors = []
+    for r, other in ((r_a, r_b), (r_b, r_a)):
+        cos = (d * d + r * r - other * other) / ((2.0 * d) * r)
+        cos = max(min(cos, 1.0), -1.0)
+        sectors.append(r * r * math.acos(cos))
+    d_a = d + r_a
+    f_a, f_b, f_c, f_d = r_a + r_b - d, d_a - r_b, d - r_a + r_b, d_a + r_b
+    tri = f_a * f_b * f_c * f_d
+    if tri == math.inf:
+        root = math.sqrt(max(f_a * f_b, 0.0)) * math.sqrt(max(f_c * f_d, 0.0))
+    else:
+        root = math.sqrt(max(tri, 0.0))
+    return sectors[0] + sectors[1] - 0.5 * root
 
 
 def fd_cg_gradient(i, positions, masses, step=1e-6):

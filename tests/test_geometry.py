@@ -19,7 +19,7 @@ from swarmpack.geometry import (
 
 from swarmpack.model import ProblemInstance
 
-from oracles import UNIT_PAIR_LENS_AREA, all_pairs_contacts, mc_lens_area
+from oracles import UNIT_PAIR_LENS_AREA, all_pairs_contacts, lens_area_by_libm, mc_lens_area
 
 
 def disk(x, y, r):
@@ -103,6 +103,54 @@ def test_lens_vector_path_matches_scalar_calls():
         assert vec[k] == lens_area_from_distance(d[k : k + 1], ra[k : k + 1], rb[k : k + 1])[0]
 
 
+def ulps_from(x, toward, k):
+    # x moved k ulps toward ``toward``, elementwise.
+    for _ in range(k):
+        x = np.nextafter(x, toward)
+    return x
+
+
+def libm_lens_draws():
+    # Radius ratios 1-5 either way round (one pair in ten at exactly 1),
+    # depths r_a + r_b - d from 1e-8 of the smaller radius to just short of
+    # containment at twice it, contained pairs from d = 0 up to the
+    # boundary, and pairs 1-8 ulps inside tangency or outside containment,
+    # where a cosine rounds past +-1.
+    rng = np.random.default_rng(28)
+    n = 3000
+    small = rng.uniform(1.0, 50.0, n)
+    large = small * rng.uniform(1.0, 5.0, n)
+    large[::10] = small[::10]
+    flip = rng.random(n) < 0.5
+    r_a, r_b = np.where(flip, large, small), np.where(flip, small, large)
+    depth = small * 10.0 ** rng.uniform(-8.0, math.log10(2.0), n)
+    ds = [r_a + r_b - depth, rng.uniform(0.0, 1.0, n) * np.abs(r_a - r_b)]
+    for k in range(1, 9):
+        ds += [ulps_from(r_a + r_b, 0.0, k), ulps_from(np.abs(r_a - r_b), np.inf, k)]
+    d = np.concatenate(ds)
+    reps = len(ds)
+    return d, np.tile(r_a, reps), np.tile(r_b, reps)
+
+
+def test_lens_kernel_equals_the_libm_reference_bitwise():
+    d, r_a, r_b = libm_lens_draws()
+    pairs = list(zip(d.tolist(), r_a.tolist(), r_b.tolist()))
+    got = lens_area_from_distance(d, r_a, r_b)
+    want = np.array([lens_area_by_libm(*pair) for pair in pairs])
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64)).tolist()
+    assert differ == [], (
+        f"lens_area_from_distance differs from lens_area_by_libm on {len(differ)} of {len(pairs)} pairs; "
+        f"first (d, r_a, r_b) = {pairs[differ[0]]}: {float(got[differ[0]])!r} against {float(want[differ[0]])!r}"
+    )
+    # The draws reach every case named above: both branches, and cosines
+    # past +1 and past -1 that the clip catches.
+    partial = d > np.abs(r_a - r_b)
+    assert partial.any() and not partial.all() and (d == 0.0).any()
+    d, r_a, r_b = d[partial], r_a[partial], r_b[partial]
+    cos = np.concatenate([(d * d + a * a - b * b) / ((2.0 * d) * a) for a, b in ((r_a, r_b), (r_b, r_a))])
+    assert (cos > 1.0).any() and (cos < -1.0).any()
+
+
 # Beyond radius 1e76 the product of the four lengths in the lens formula
 # overflows; 2**266 scales every length exactly, so the area scales by 2**532.
 HUGE = 2.0**266
@@ -175,8 +223,7 @@ def test_batched_lens_areas_equal_each_layout_bitwise():
         start = end
     assert total_overlaps(radii, contacts) == [total_overlap(p, radii) for p in layouts]
     # The batch mixes contained and partial pairs and d = 0, while some
-    # layouts on their own are all partial (the kernel's no-scatter branch)
-    # and one has no contacts.
+    # layouts on their own are all partial and one has no contacts.
     contained = d <= np.abs(radii[i] - radii[j])
     assert (d == 0.0).any() and contained.any() and not contained.all()
     alone = [bool((c.d > np.abs(radii[c.i] - radii[c.j])).all()) for c in contacts if c.d.shape[0]]

@@ -1,24 +1,24 @@
 """Result bytes pinned by sha256, so a change to any solver result shows in Tier-1.
 
-The solves run in a subprocess with numpy's AVX-512 dispatch switched off:
-on such hosts numpy's float64 ``arccos`` differs from libm's, which changes
-the trace CSV's overlap column. The variable acts only on the subprocess.
+The solves run in this process at numpy's default dispatch, through
+``cli.main`` as ``swarmpack solve`` runs them. Their bytes do not depend on
+the dispatch level. numpy's AVX-512 ``arccos`` rounds differently from
+libm's, so the lens kernel takes its arccos from libm; the other array
+operations of a solve (``+ - * /``, ``sqrt``, sums, maxima) round alike
+with and without AVX-512. CI runs this file a second time with numpy's
+AVX-512 loops switched off (``NPY_DISABLE_CPU_FEATURES``), against the same
+pins.
 A change that alters results by design replaces the pins below and says so.
 """
 
 import hashlib
-import os
 import platform
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import swarmpack
+from swarmpack.cli import main
 
-DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 PINNED_NUMPY = "2.4"
 
 # swarmpack solve NAME --iters ITERS at --seed {0,3}, with --out-json and
@@ -46,18 +46,6 @@ PINNED = {
     "II2-3.csv": "d3970fc151d436bb672f86db52d7dd5879b5028853435242c54546a20631c1c9",
 }
 
-SOLVES = """
-import sys
-from swarmpack.cli import main
-for name, iters in zip(sys.argv[2::2], sys.argv[3::2]):
-    for seed in ("0", "3"):
-        stem = f"{sys.argv[1]}/{name}-{seed}"
-        argv = ["solve", name, "--iters", iters, "--seed", seed]
-        code = main([*argv, "--out-json", stem + ".json", "--trace-csv", stem + ".csv"])
-        if code != 0:
-            sys.exit(f"{' '.join(argv)} exited {code}")
-"""
-
 
 pinned_host = pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64")
@@ -67,14 +55,14 @@ pinned_host = pytest.mark.skipif(
 
 
 def assert_runs_match_the_pins(tmp_path, runs):
-    src = str(Path(swarmpack.__file__).resolve().parents[1])
-    env = {**os.environ, **DISPATCH, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    argv = [str(part) for run in runs for part in run]
-    done = subprocess.run(
-        [sys.executable, "-c", SOLVES, str(tmp_path), *argv], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    names = [f"{name}-{seed}.{ext}" for name, _ in runs for seed in (0, 3) for ext in ("json", "csv")]
+    names = []
+    for name, iters in runs:
+        for seed in (0, 3):
+            argv = ["solve", name, "--iters", str(iters), "--seed", str(seed)]
+            stem = tmp_path / f"{name}-{seed}"
+            code = main([*argv, "--out-json", f"{stem}.json", "--trace-csv", f"{stem}.csv"])
+            assert code == 0, f"{' '.join(argv)} exited {code}"
+            names += [f"{name}-{seed}.json", f"{name}-{seed}.csv"]
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
     changed = sorted(name for name in names if digests[name] != PINNED[name])
     assert changed == [], f"numpy {np.__version__}, libc {platform.libc_ver()}: {changed} differ from the pins"
