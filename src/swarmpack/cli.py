@@ -27,13 +27,13 @@ from .instance_io import (
 )
 from .model import Hyperparameters, InvalidInputError, ProblemInstance
 from .solver import solve
-from .svg import export_svg, render_svg
+from .svg import export_svg
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
-# Iteration budgets the benchmarks are quoted at.
+# Iteration budgets the benchmarks are quoted at, and solve's and bench's defaults.
 SUITE_ITERATIONS = {"suite1": 20000, "suite2": 15000}
 
 
@@ -56,6 +56,12 @@ def _hyperparameters(args, **defaults) -> Hyperparameters:
     return Hyperparameters(**{**defaults, **given})
 
 
+def _default_budget(instance: ProblemInstance) -> int:
+    # The budget of the suite an embedded instance is quoted in; a file
+    # that only shares an embedded name is not embedded and gets suite1's.
+    return SUITE_ITERATIONS["suite2" if instance in CORPUS.suite2 else "suite1"]
+
+
 def _resolve_instance(token: str) -> ProblemInstance:
     if os.path.exists(token):
         return load_instance(token)
@@ -70,7 +76,7 @@ def _resolve_instance(token: str) -> ProblemInstance:
 
 def _cmd_solve(args) -> int:
     instance = _resolve_instance(args.instance)
-    hp = _hyperparameters(args)
+    hp = _hyperparameters(args, n_it=_default_budget(instance))
 
     result = solve(instance, hp)
 
@@ -91,7 +97,7 @@ def _cmd_solve(args) -> int:
         )
         if args.out_svg:
             with open(args.out_svg, "wb") as fh:
-                fh.write(export_svg(result))
+                fh.write(export_svg(instance, result.best_positions, result.best_radius))
         return EXIT_OK
 
     print(f"{instance.name}: no feasible layout within {hp.n_it} iterations", file=sys.stderr)
@@ -103,15 +109,13 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     if args.selector in SUITE_ITERATIONS:
         instances = list(CORPUS.suite(args.selector))
-        default_iters = SUITE_ITERATIONS[args.selector]
     else:
         instances = [_resolve_instance(args.selector)]
-        default_iters = SUITE_ITERATIONS["suite2"] if instances[0] in CORPUS.suite2 else SUITE_ITERATIONS["suite1"]
     if args.reps < 1:
         raise ParseError(f"--reps must be at least 1, got {args.reps}")
     if args.jobs < 1:
         raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
-    hp = _hyperparameters(args, n_it=default_iters)
+    hp = _hyperparameters(args, n_it=_default_budget(instances[0]))
 
     summaries, report = run_bench(instances, args.reps, hp, jobs=args.jobs)
 
@@ -146,7 +150,7 @@ def _cmd_export(args) -> int:
     if layout is None:
         print(f"{args.result}: result is infeasible, nothing to render", file=sys.stderr)
         return EXIT_INFEASIBLE
-    payload = render_svg(*layout)
+    payload = export_svg(*layout)
     with open(args.svg, "wb") as fh:
         fh.write(payload)
     print(f"wrote {args.svg}")

@@ -27,11 +27,9 @@ The solver's evaluation has already computed both for the same layout.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .geometry import Contacts, FarEdges, center_of_gravity, cg_offset, far_edges, row_norms
+from .geometry import Contacts, FarEdges, center_of_gravity, cg_offset, row_norms
 from .model import Hyperparameters, ProblemInstance, scalar_operand
 
 # A pair triggers the separation push when the centers are closer than the
@@ -75,17 +73,16 @@ def assemble_forces(
     hp: Hyperparameters,
     contacts: Contacts,
     cg: np.ndarray,
-    edges: Optional[FarEdges] = None,
-    cgv: Optional[float] = None,
+    edges: FarEdges,
+    cgv: float,
 ) -> np.ndarray:
     """Capped resultant force on every circle, as an (N, 2) array.
 
     ``positions`` and ``velocities`` are (N, 2) arrays, with every speed at
     most ``hp.v_max`` as ``integrate_step`` leaves them (the force-cap bound
-    relies on it); ``contacts`` and ``cg`` are the layout's
-    ``contact_pairs`` result and gravity center, and ``edges`` its
-    ``far_edges`` and ``cgv`` its ``cg_offset``, each computed here when not
-    given. The container is centered on the origin.
+    relies on it); ``contacts``, ``cg``, ``edges`` and ``cgv`` are the
+    layout's ``contact_pairs`` result, gravity center, ``far_edges`` and
+    ``cg_offset``. The container is centered on the origin.
     """
     p, v, r = positions, velocities, instance.radii
     ops = hp.operands
@@ -121,7 +118,6 @@ def assemble_forces(
     # but -0.0, and total never holds -0.0. It starts at +0.0, and a sum or
     # difference rounds to -0.0 only from a -0.0 operand on the left
     # (-0.0 + -0.0, -0.0 - +0.0); exact cancellation gives +0.0.
-    edges = edges if edges is not None else far_edges(p, r)
     bar = target_radius + CONTAINMENT_EPS
     if not edges.far_max <= bar:
         inside = edges.far <= bar
@@ -164,10 +160,9 @@ def _cap_cannot_bind(n_pairs: int, instance: ProblemInstance, hp: Hyperparameter
     return bound * (1.0 + 1e-12 * (n_pairs + 2)) < hp.f_max
 
 
-def _unit_toward(cg, norm=None):
+def _unit_toward(cg, norm):
     # The unit vector toward the gravity center, or None inside the EPSILON
-    # ball around the origin; norm is cg_offset(cg) when given.
-    norm = cg_offset(cg) if norm is None else norm
+    # ball around the origin; norm is cg_offset(cg).
     return None if norm < EPSILON else cg / norm
 
 
@@ -179,5 +174,6 @@ def cg_gradient(i: int, positions, masses) -> np.ndarray:
     as zero (the distance has no derivative at its cone point).
     """
     m = np.asarray(masses, dtype=float)
-    toward = _unit_toward(center_of_gravity(positions, m))
+    cg = center_of_gravity(positions, m)
+    toward = _unit_toward(cg, cg_offset(cg))
     return np.zeros(2) if toward is None else (m[i] / m.sum()) * toward

@@ -157,12 +157,12 @@ def row_norms(vectors) -> np.ndarray:
     return np.sqrt(sq[:, 0] + sq[:, 1])
 
 
-def _touching(p, iu, ju, reach, skin=0.0) -> Contacts:
+def _touching(p, iu, ju, reach, skin) -> Contacts:
     # The candidates i < j with d < reach + skin, where reach holds their
-    # radius sums; each contact keeps its sum. take gathers the same rows as
-    # p[ju], without fancy indexing's overhead.
+    # radius sums (+ 0.0 keeps every verdict); each contact keeps its sum.
+    # take gathers the same rows as p[ju], without fancy indexing's overhead.
     d = row_norms(p.take(ju, 0) - p.take(iu, 0))
-    hit = d < (reach + skin if skin else reach)
+    hit = d < reach + skin
     return Contacts(iu[hit], ju[hit], d[hit], reach[hit])
 
 

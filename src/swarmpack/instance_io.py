@@ -223,14 +223,12 @@ class TraceCsvWriter:
     A row is the iteration and its History values as Python floats, in
     field order; a NaN value (``actual_radius`` on an infeasible row) leaves
     its cell empty, and ``feasible`` says whether ``actual_radius`` is set.
-    Each call takes a History, or a slice of one (every column sliced
-    alike), and writes its rows TRACE_BLOCK at a time; the iteration numbers
-    continue from the previous call, so a run can be written in pieces.
+    Each call takes one run's History and writes its rows, numbered from 1,
+    TRACE_BLOCK at a time.
     """
 
     def __init__(self, fh: IO[str]):
         self._fh = fh
-        self._iteration = 1
         fh.write(",".join(TRACE_COLUMNS) + "\n")
 
     def __call__(self, history: History) -> None:
@@ -242,7 +240,5 @@ class TraceCsvWriter:
             # No float repr holds a comma or a quote, so no cell needs quoting.
             cells = [["" if v != v else repr(v) for v in column[start:stop].tolist()] for column in history]
             feasible = ["true" if cell else "false" for cell in cells[_ACTUAL_CELL]]
-            first = self._iteration + start
-            iterations = map(str, range(first, first + len(feasible)))
+            iterations = map(str, range(start + 1, stop + 1))
             self._fh.write("\n".join(map(",".join, zip(iterations, *cells, feasible))) + "\n")
-        self._iteration += rows

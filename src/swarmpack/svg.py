@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ProblemInstance, SolveResult
-
-
-class ExportError(RuntimeError):
-    """Rendering was asked for a run that has no feasible layout."""
+from .model import ProblemInstance
 
 
 def _ramp_color(mass: float, m_lo: float, m_hi: float) -> str:
@@ -26,8 +22,11 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_svg(instance: ProblemInstance, positions, container_radius: float) -> bytes:
-    """Layout as standalone SVG bytes: dashed container, mass ramp, CG cross; numbers are float reprs."""
+def export_svg(instance: ProblemInstance, positions, container_radius: float) -> bytes:
+    """Layout as standalone SVG bytes: dashed container, mass ramp, CG cross; numbers are float reprs.
+
+    The one renderer of ``solve --out-svg`` and ``export``; ``positions`` are centered on the gravity center.
+    """
     big = float(container_radius)
     view = big * 1.06
     stroke = big * 0.004
@@ -53,9 +52,3 @@ def render_svg(instance: ProblemInstance, positions, container_radius: float) ->
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 
-
-def export_svg(result: SolveResult) -> bytes:
-    """Render a solve result; the layout is already centered on its CG."""
-    if not result.feasible or result.best_positions is None:
-        raise ExportError(f"run on {result.instance.name!r} has no feasible layout to render")
-    return render_svg(result.instance, result.best_positions, result.best_radius)

