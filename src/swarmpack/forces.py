@@ -18,11 +18,10 @@ force-cap bound stays below f_max skips the cap, norms included: every
 push has norm at most 2 v_max, since speeds are at most v_max, and the pull
 at most alpha times the largest mass share. A circle has at most H
 partners when the layout has H overlapping pairs, so no row exceeds
-2 v_max (H + 1) plus that pull. The pair push divides by the pair's
-center distance from ``contacts``, bitwise the norm of either push vector
-(fl(a - b) is -fl(b - a), so both square alike). The containment test and
-push take the layout's origin distances and far edges from ``far_edges``.
-The solver's evaluation has already computed both for the same layout.
+2 v_max (H + 1) plus that pull. Each pair push divides by its own norm,
+bitwise the pair's contact distance. The containment test and push take
+the layout's origin distances and far edges from the FarEdges that
+``NeighbourList.layout`` returned with its contacts.
 """
 
 from __future__ import annotations
@@ -91,15 +90,12 @@ def assemble_forces(
 
     pairs = find_overlap_pairs(r, contacts)
     if pairs.shape[0]:
-        # The center distances of find_overlap_pairs' hits, once for the
-        # (j, i) rows and once for the (i, j) rows. Unpacked by position: a
-        # plain (i, j, d, reach) tuple serves as contacts too.
-        _, _, d, reach = contacts
-        d = d[d < reach - _TRIGGER_EPS]
-        dist = np.concatenate((d, d))
-        dist += _EPSILON
         src = pairs[:, 0]
         push = p.take(pairs[:, 1], 0) - p.take(src, 0)
+        # The norm of a (j, i) row squares -fl(p_j - p_i), so it is bitwise
+        # the contact distance d, as is that of its (i, j) row.
+        dist = row_norms(push)
+        dist += _EPSILON
         push /= dist[:, None]
         push *= ops.neg_v_max
         push -= v.take(src, 0)

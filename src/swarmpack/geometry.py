@@ -19,9 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-
-class InvalidGeometryError(ValueError):
-    """Non-finite coordinates, non-positive radii, or mismatched lengths."""
+from .model import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -41,9 +39,9 @@ class Disk:
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
         if not (np.all(np.isfinite(c)) and math.isfinite(self.radius)):
-            raise InvalidGeometryError(f"disk has non-finite data: {self!r}")
+            raise InvalidInputError(f"disk has non-finite data: {self!r}")
         if self.radius <= 0.0:
-            raise InvalidGeometryError(f"disk radius must be positive, got {self.radius}")
+            raise InvalidInputError(f"disk radius must be positive, got {self.radius}")
 
     @property
     def area(self) -> float:
@@ -103,7 +101,7 @@ def lens_area(a: Disk, b: Disk) -> float:
     dx = b.center.x - a.center.x
     dy = b.center.y - a.center.y
     if not (math.isfinite(dx) and math.isfinite(dy)):
-        raise InvalidGeometryError("disk centers must be finite")
+        raise InvalidInputError("disk centers must be finite")
     d = math.sqrt(dx * dx + dy * dy)
     if d >= a.radius + b.radius:
         return 0.0
@@ -113,14 +111,14 @@ def lens_area(a: Disk, b: Disk) -> float:
 def _as_points(positions) -> np.ndarray:
     p = np.asarray(positions, dtype=float)
     if p.ndim != 2 or p.shape[1] != 2:
-        raise InvalidGeometryError(f"expected an (N, 2) point array, got shape {p.shape}")
+        raise InvalidInputError(f"expected an (N, 2) point array, got shape {p.shape}")
     return p
 
 
 def _as_radii(radii, p) -> np.ndarray:
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.shape[0] != p.shape[0]:
-        raise InvalidGeometryError("positions and radii lengths differ")
+        raise InvalidInputError("positions and radii lengths differ")
     return r
 
 
@@ -157,15 +155,6 @@ def row_norms(vectors) -> np.ndarray:
     return np.sqrt(sq[:, 0] + sq[:, 1])
 
 
-def _touching(p, iu, ju, reach, skin) -> Contacts:
-    # The candidates i < j with d < reach + skin, where reach holds their
-    # radius sums (+ 0.0 keeps every verdict); each contact keeps its sum.
-    # take gathers the same rows as p[ju], without fancy indexing's overhead.
-    d = row_norms(p.take(ju, 0) - p.take(iu, 0))
-    hit = d < reach + skin
-    return Contacts(iu[hit], ju[hit], d[hit], reach[hit])
-
-
 def _sweep_contacts(p, r, skin=0.0) -> Contacts:
     # Pairs with d < r_i + r_j + skin, sorted by (i, j), each with its
     # radius sum r_i + r_j (without the skin) as reach. Sort and sweep: with
@@ -188,9 +177,14 @@ def _sweep_contacts(p, r, skin=0.0) -> Contacts:
     ci = np.repeat(order, counts)
     cj = order[np.arange(first.shape[0]) + first]
     iu, ju = np.minimum(ci, cj), np.maximum(ci, cj)
-    found = _touching(p, iu, ju, r[iu] + r[ju], skin)
-    by_pair = np.argsort(found.i * n + found.j)
-    return Contacts(*(column[by_pair] for column in found))
+    reach = r[iu] + r[ju]
+    # take gathers the same rows as p[ju], without fancy indexing's
+    # overhead; + 0.0 as the skin keeps every verdict.
+    d = row_norms(p.take(ju, 0) - p.take(iu, 0))
+    hit = d < reach + skin
+    iu, ju = iu[hit], ju[hit]
+    by_pair = np.argsort(iu * n + ju)
+    return Contacts(iu[by_pair], ju[by_pair], d[hit][by_pair], reach[hit][by_pair])
 
 
 # Verlet skin of a NeighbourList, in ticks of top-speed travel v_max * dt
@@ -216,8 +210,9 @@ class NeighbourList:
     same Contacts, and the layout's FarEdges from the same pass. The list
     is exact while no circle has moved more than skin / 2 since the
     rebuild: two circles then close at most skin. A call that finds a
-    larger displacement, or a non-finite one, rebuilds first. ``travel`` is
-    the farthest a circle moves per tick.
+    larger displacement, or a non-finite one, rebuilds first; the list
+    starts empty with a NaN anchor, so the first call rebuilds by that test.
+    ``travel`` is the farthest a circle moves per tick.
     """
 
     def __init__(self, radii, travel: float):
@@ -231,11 +226,12 @@ class NeighbourList:
         # The limit is a Python float, whose square overflows to inf without
         # a warning; it is held below inf, so that a move whose square
         # overflows still rebuilds.
-        widest = 2.0 * float(self.radii.max()) + self.skin if self.radii.size else self.skin
+        widest = 2.0 * float(self.radii.max()) + self.skin
         limit = 0.5 * self.skin - 16.0 * sys.float_info.epsilon * widest
         self._limit_sq = min(limit * limit, sys.float_info.max) if limit > 0.0 else -1.0
-        self._anchor: Optional[np.ndarray] = None
-        self._i = self._j = self._reach = None
+        self._anchor = np.full((self.radii.shape[0], 2), np.nan)
+        self._i = self._j = np.empty(0, dtype=np.int64)
+        self._reach = np.empty(0)
         self.rebuilds = 0
 
     def layout(self, p: np.ndarray) -> tuple[Contacts, FarEdges]:
@@ -250,11 +246,11 @@ class NeighbourList:
         element rounded as ``row_norms`` rounds it in an array of its own.
         """
         n = p.shape[0]
-        sq = None if self._anchor is None else self._squared_rows(p)
-        # Written so that NaN, from a NaN or inf position, also rebuilds.
-        # Right after a rebuild the moves are not checked: those of a NaN
-        # layout stay NaN and would rebuild again.
-        if sq is None or not sq[n + sq[n : 2 * n].argmax()] <= self._limit_sq:
+        sq = self._squared_rows(p)
+        # Written so that NaN, from a NaN or inf position or the initial
+        # anchor, also rebuilds. Right after a rebuild the moves are not
+        # checked: those of a NaN layout stay NaN and would rebuild again.
+        if not sq[n + sq[n : 2 * n].argmax()] <= self._limit_sq:
             self._anchor = p.copy()
             self._i, self._j, _, self._reach = _sweep_contacts(p, self.radii, self.skin)
             self.rebuilds += 1
@@ -321,11 +317,11 @@ def center_of_gravity(positions, masses, total: Optional[float] = None) -> np.nd
     p = _as_points(positions)
     m = np.asarray(masses, dtype=float)
     if m.ndim != 1 or m.shape[0] != p.shape[0] or p.shape[0] == 0:
-        raise InvalidGeometryError("positions and masses lengths differ or are empty")
+        raise InvalidInputError("positions and masses lengths differ or are empty")
     if total is None:
         total = np.add.reduce(m)
     if not total > 0.0:
-        raise InvalidGeometryError("total mass must be positive")
+        raise InvalidInputError("total mass must be positive")
     return np.add.reduce(m[:, None] * p, axis=0) / total
 
 
@@ -367,7 +363,7 @@ def enclosing_radius(positions, radii, center=(0.0, 0.0)) -> float:
     p = _as_points(positions)
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.shape[0] != p.shape[0] or p.shape[0] == 0:
-        raise InvalidGeometryError("positions and radii lengths differ or are empty")
+        raise InvalidInputError("positions and radii lengths differ or are empty")
     c = np.asarray(center, dtype=float).reshape(2)
     reach = row_norms(p - c)
     reach += r

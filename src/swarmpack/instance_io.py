@@ -211,7 +211,6 @@ def parse_result(text: str) -> Optional[tuple[ProblemInstance, np.ndarray, float
 
 
 TRACE_COLUMNS = ("iteration", *History._fields, "feasible")
-_ACTUAL_CELL = History._fields.index("actual_radius")
 # Rows formatted and written per fh.write: the writer's memory is one
 # block's strings, whatever the number of iterations.
 TRACE_BLOCK = 1024
@@ -235,10 +234,11 @@ class TraceCsvWriter:
         rows = len(history[0])
         for start in range(0, rows, TRACE_BLOCK):
             stop = start + TRACE_BLOCK
+            block = History(*(column[start:stop] for column in history))
             # v != v holds only for NaN. Each value is formatted on its own:
             # -0.0 == 0.0, so a cache keyed on the value would lose the sign.
             # No float repr holds a comma or a quote, so no cell needs quoting.
-            cells = [["" if v != v else repr(v) for v in column[start:stop].tolist()] for column in history]
-            feasible = ["true" if cell else "false" for cell in cells[_ACTUAL_CELL]]
+            cells = [["" if v != v else repr(v) for v in column.tolist()] for column in block]
+            feasible = ["true" if f else "false" for f in block.feasible.tolist()]
             iterations = map(str, range(start + 1, stop + 1))
             self._fh.write("\n".join(map(",".join, zip(iterations, *cells, feasible))) + "\n")

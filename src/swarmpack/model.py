@@ -44,8 +44,13 @@ class ProblemInstance:
 
     def __post_init__(self):
         for key in ("radii", "masses"):
+            raw = getattr(self, key)
             try:
-                values = np.array(getattr(self, key), dtype=float)
+                # The float conversion alone would read a bool as 0 or 1 and
+                # a string as the number it spells.
+                if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in np.asarray(raw, dtype=object).flat):
+                    raise TypeError
+                values = np.array(raw, dtype=float)
             except (TypeError, ValueError, OverflowError):
                 raise InvalidInputError(f"{key} must be a flat sequence of numbers in float range") from None
             values.setflags(write=False)

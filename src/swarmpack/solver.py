@@ -6,8 +6,8 @@ layout gets its contacts and its ``far_edges`` (origin distances |p_i| and
 far edges |p_i| + r_i) from one ``layout`` pass of the run's NeighbourList,
 which reruns the pair search only when some circle has moved past half its
 skin, and one gravity center; all three serve the evaluation that judges
-the layout and the forces of the next iteration. There the contact
-distances serve the pair push, the far edges the containment push, and the
+the layout and the forces of the next iteration. There the contacts
+select the pair pushes, the far edges the containment push, and the
 force-cap bound of ``forces`` (2 v_max per pair push and per containment
 push, plus the pull) skips the cap's norms on ticks where no circle can
 reach f_max. A layout is feasible when the enclosing radius measured about

@@ -3,7 +3,7 @@
 The sweep window (``geometry._sweep_contacts``): with the circles sorted by
 x, every partner circle i can touch lies in the run of later circles whose x
 is within its own window w_i = fl(fl(r_i + r_max) + skin), and no rounding
-margin is needed. A pair that ``_touching`` keeps has
+margin is needed. A pair that the sweep keeps has
 fl(d) < fl(fl(r_i + r_j) + skin) <= w_i, as rounding is monotone and
 r_j <= r_max. And fl(d) >= |dx| for dx = fl(x_j - x_i), because
 fl(sqrt(fl(dx * dx))) == |dx| (barring underflow below 1e-154) and adding

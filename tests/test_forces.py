@@ -151,25 +151,25 @@ def ulp_chain(rng, radii, skin, offset):
     return np.stack([x, np.zeros(x.shape[0])], axis=1), radii
 
 
-def test_grid_and_naive_agree_on_random_states():
+def test_sweep_and_naive_agree_on_random_states():
     for positions, radii in broad_phase_layouts():
         # The sweep against the all-pairs reference: a NeighbourList
         # rebuild's wider search, then contact_pairs' own, whose contacts
-        # naive and grid keep for the checks below.
+        # naive and sweep keep for the checks below.
         for skin in (16.0, 0.0):
-            naive, grid = all_pairs_contacts(positions, radii, skin), swept_contacts(positions, radii, skin)
-            assert_bitwise_equal(grid, naive)
-        assert total_overlap(positions, radii, contacts=grid) == total_overlap(positions, radii, contacts=naive)
+            naive, sweep = all_pairs_contacts(positions, radii, skin), swept_contacts(positions, radii, skin)
+            assert_bitwise_equal(sweep, naive)
+        assert total_overlap(positions, radii, contacts=sweep) == total_overlap(positions, radii, contacts=naive)
         pairs = find_overlap_pairs(radii, naive)
-        assert find_overlap_pairs(radii, grid).tobytes() == pairs.tobytes()
+        assert find_overlap_pairs(radii, sweep).tobytes() == pairs.tobytes()
 
 
-def test_grid_handles_coincident_centers():
+def test_sweep_handles_coincident_centers():
     positions = np.zeros((5, 2))
     radii = np.full(5, 1.0)
     naive = find_overlap_pairs(radii, all_pairs_contacts(positions, radii))
-    grid = find_overlap_pairs(radii, contact_pairs(positions, radii))
-    assert naive.tobytes() == grid.tobytes()
+    sweep = find_overlap_pairs(radii, contact_pairs(positions, radii))
+    assert naive.tobytes() == sweep.tobytes()
     assert naive.shape[0] == 5 * 4
 
 
@@ -519,8 +519,8 @@ def test_assembly_is_search_independent_bitwise():
         state, inst = random_setup(rng, n, spread=6.0)
         target = float(rng.uniform(3.0, 10.0))
         naive = forces_of(state, inst, target, hp, all_pairs_contacts(state[0], inst.radii))
-        grid = forces_of(state, inst, target, hp)
-        assert naive.tobytes() == grid.tobytes()
+        sweep = forces_of(state, inst, target, hp)
+        assert naive.tobytes() == sweep.tobytes()
 
 
 def test_overlap_pushes_conserve_momentum_at_rest():

@@ -5,7 +5,6 @@ import pytest
 
 from swarmpack.geometry import (
     Disk,
-    InvalidGeometryError,
     Point2,
     center_of_gravity,
     cg_violation,
@@ -17,7 +16,7 @@ from swarmpack.geometry import (
     total_overlaps,
 )
 
-from swarmpack.model import ProblemInstance
+from swarmpack.model import InvalidInputError, ProblemInstance
 
 from oracles import UNIT_PAIR_LENS_AREA, all_pairs_contacts, lens_area_by_libm, mc_lens_area
 
@@ -164,11 +163,11 @@ def test_lens_areas_of_huge_disks_scale_with_the_square_of_the_radius(depth):
 
 
 def test_lens_rejects_bad_disks():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidInputError):
         disk(0, 0, -1.0)
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidInputError):
         disk(math.nan, 0, 1.0)
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidInputError):
         disk(0, math.inf, 1.0)
 
 
@@ -238,7 +237,7 @@ def test_total_overlap_zero_for_spread_layout():
 
 
 def test_total_overlap_checks_lengths():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidInputError):
         total_overlap([(0.0, 0.0)], [1.0, 2.0])
 
 
@@ -263,16 +262,16 @@ def test_cg_violation_invariant_under_mass_scaling():
 
 
 def test_center_of_gravity_rejects_degenerate_input():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidInputError):
         center_of_gravity([(0.0, 0.0)], [0.0])
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidInputError):
         center_of_gravity(np.empty((0, 2)), np.empty(0))
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidInputError):
         center_of_gravity([(0.0, 0.0), (1.0, 1.0)], [1.0])
     # A total passed in keeps every check.
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidInputError):
         center_of_gravity([(0.0, 0.0)], [1.0], 0.0)
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidInputError):
         center_of_gravity([(0.0, 0.0), (1.0, 1.0)], [1.0], 1.0)
 
 

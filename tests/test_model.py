@@ -60,6 +60,15 @@ def test_validate_instance_flags_each_defect():
         ("a", [1.0], [1j], "^masses"),
         # An integer beyond float range, not OverflowError.
         ("a", [10**400], [1], "^radii"),
+        # The float conversion would read a bool as 0 or 1 and a string as
+        # the number it spells.
+        ("a", ["1", True], [1.0, 1.0], "^radii"),
+        ("a", [1.0, True], [1.0, 1.0], "^radii"),
+        ("a", [1, 2], [True, 1], "^masses"),
+        ("a", np.array([True, True]), [1.0, 1.0], "^radii"),
+        ("a", np.array(["1", "2"]), [1.0, 1.0], "^radii"),
+        ("a", [1.0, 2.0], np.array([1.0, np.True_], dtype=object), "^masses"),
+        ("a", [1.0, 2.0], [b"1", 2.0], "^masses"),
     ]
     for name, radii, masses, fragment in cases:
         with pytest.raises(InvalidInputError, match=fragment):
