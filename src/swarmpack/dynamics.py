@@ -20,10 +20,15 @@ def integrate_step(
     (a = F / m), so tiny masses overflow it as a huge dt does; numpy warns
     of the overflow first unless the caller has overflow warnings off, as
     ``solve`` has. ``forces`` is an (N, 2) array and ``masses`` the
-    instance's positive float array.
+    instance's ``mass_rows``: positive masses shaped like ``forces``, each
+    in both columns, so that a = F / m is a same-shape divide. Any other
+    shape raises InvalidInputError; at N = 2 an (N,) array would otherwise
+    divide along the coordinates without a word.
     """
+    if masses.shape != forces.shape:
+        raise InvalidInputError(f"masses of shape {masses.shape} do not match forces of shape {forces.shape}")
     dt = hp.operands.dt
-    vel = forces / masses[:, None]
+    vel = forces / masses
     vel *= dt
     vel += velocities
     speed = row_norms(vel)

@@ -8,6 +8,10 @@ disk. The push terms subtract the circle's own velocity, so under repeated
 triggering the velocity converges onto the push direction at v_max instead
 of winding up without bound.
 
+The pull on each circle is alpha times its mass share, the instance's
+``mass_share``: (N, 2) rows shaped like the positions, so that scaling the
+unit vector takes no (N, 1) broadcast.
+
 Contributions accumulate per circle in a fixed order (partners by ascending
 index, then the gravity term, then the containment term) and the resultant
 is capped at f_max, so identical states give bitwise-identical forces no
@@ -56,12 +60,14 @@ def find_overlap_pairs(radii, contacts: Contacts) -> np.ndarray:
     sums, and perfbench's pair probe reads the swarm size from ``radii``.
     The (j, i) row of every overlapping pair i < j comes first, in that
     order, then its (i, j) row, in the same order. So each source's partners
-    come in ascending order: first those below it, then those above.
+    come in ascending order: first those below it, then those above. The
+    rows are a transposed view of one (2, 2E) array, so each column is
+    contiguous.
     """
     i, j, d, reach = contacts
     hit = d < reach - _TRIGGER_EPS
-    pairs = np.array((i[hit], j[hit])).T
-    return np.concatenate((pairs[:, ::-1], pairs))
+    ih, jh = i[hit], j[hit]
+    return np.concatenate((jh, ih, ih, jh)).reshape(2, -1).T
 
 
 def assemble_forces(
@@ -120,7 +126,8 @@ def assemble_forces(
         push = p / (edges.dist + _EPSILON)[:, None]
         push *= ops.neg_v_max
         push -= v
-        np.copyto(push, _ZERO, where=inside[:, None])
+        # Through the (2, N) view, inside broadcasts along its rows.
+        np.copyto(push.T, _ZERO, where=inside)
         total += push
 
     if _cap_cannot_bind(pairs.shape[0] // 2, instance, hp):

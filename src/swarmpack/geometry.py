@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import InvalidInputError
+from .model import InvalidInputError, as_floats
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,12 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if not (np.all(np.isfinite(c)) and math.isfinite(self.radius)):
+        c = as_floats(self.center, "disk center")
+        r = as_floats(self.radius, "disk radius")
+        if not (np.all(np.isfinite(c)) and np.isfinite(r)):
             raise InvalidInputError(f"disk has non-finite data: {self!r}")
-        if self.radius <= 0.0:
+        if not r > 0.0:
             raise InvalidInputError(f"disk radius must be positive, got {self.radius}")
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.radius * self.radius
 
 
 def lens_area_from_distance(d, r_a, r_b):
@@ -109,14 +106,14 @@ def lens_area(a: Disk, b: Disk) -> float:
 
 
 def _as_points(positions) -> np.ndarray:
-    p = np.asarray(positions, dtype=float)
+    p = as_floats(positions, "points")
     if p.ndim != 2 or p.shape[1] != 2:
         raise InvalidInputError(f"expected an (N, 2) point array, got shape {p.shape}")
     return p
 
 
 def _as_radii(radii, p) -> np.ndarray:
-    r = np.asarray(radii, dtype=float)
+    r = as_floats(radii, "radii")
     if r.ndim != 1 or r.shape[0] != p.shape[0]:
         raise InvalidInputError("positions and radii lengths differ")
     return r
@@ -308,21 +305,32 @@ def total_overlaps(radii, contacts: Sequence[Contacts]) -> list[float]:
     return totals
 
 
-def center_of_gravity(positions, masses, total: Optional[float] = None) -> np.ndarray:
+def center_of_gravity(positions, masses, total=None) -> np.ndarray:
     """Mass-weighted mean position, as a (2,) array.
 
-    ``total`` is the sum of ``masses``, when the caller has it cached
-    (``ProblemInstance.total_mass``); otherwise it is summed here.
+    ``masses`` is an (N,) array or, as the solver passes them, rows shaped
+    like ``positions`` with each mass in both columns
+    (``ProblemInstance.mass_rows``); both give the same bits. ``total`` is
+    the sum of the masses, when the caller has it cached
+    (``ProblemInstance.total_mass``); otherwise it is summed here, and rows
+    whose two columns differ are rejected. A caller that passes ``total``
+    vouches for the pair, so the solver's per-tick call skips that compare.
     """
     p = _as_points(positions)
-    m = np.asarray(masses, dtype=float)
-    if m.ndim != 1 or m.shape[0] != p.shape[0] or p.shape[0] == 0:
-        raise InvalidInputError("positions and masses lengths differ or are empty")
+    m = as_floats(masses, "masses")
+    if m.shape != p.shape:
+        if m.ndim != 1 or m.shape[0] != p.shape[0]:
+            raise InvalidInputError("positions and masses lengths differ")
+        m = m[:, None]
+    if p.shape[0] == 0:
+        raise InvalidInputError("positions and masses are empty")
     if total is None:
-        total = np.add.reduce(m)
+        if m.shape[1] == 2 and not np.array_equal(m[:, 0], m[:, 1]):
+            raise InvalidInputError("mass rows must hold each mass in both columns")
+        total = np.add.reduce(m[:, 0])
     if not total > 0.0:
         raise InvalidInputError("total mass must be positive")
-    return np.add.reduce(m[:, None] * p, axis=0) / total
+    return np.add.reduce(m * p, axis=0) / total
 
 
 def cg_offset(cg) -> float:
@@ -361,10 +369,12 @@ def far_edges(positions, radii) -> FarEdges:
 def enclosing_radius(positions, radii, center=(0.0, 0.0)) -> float:
     """Radius of the smallest disk about ``center`` covering every circle."""
     p = _as_points(positions)
-    r = np.asarray(radii, dtype=float)
-    if r.ndim != 1 or r.shape[0] != p.shape[0] or p.shape[0] == 0:
-        raise InvalidInputError("positions and radii lengths differ or are empty")
-    c = np.asarray(center, dtype=float).reshape(2)
+    r = _as_radii(radii, p)
+    if p.shape[0] == 0:
+        raise InvalidInputError("positions and radii are empty")
+    c = as_floats(center, "center")
+    if c.shape != (2,):
+        raise InvalidInputError(f"expected a (2,) center, got shape {c.shape}")
     reach = row_norms(p - c)
     reach += r
     return float(reach[reach.argmax()])

@@ -5,12 +5,15 @@ anchored at the origin), step the dynamics, then judge the new layout. Each
 layout gets its contacts and its ``far_edges`` (origin distances |p_i| and
 far edges |p_i| + r_i) from one ``layout`` pass of the run's NeighbourList,
 which reruns the pair search only when some circle has moved past half its
-skin, and one gravity center; all three serve the evaluation that judges
-the layout and the forces of the next iteration. There the contacts
-select the pair pushes, the far edges the containment push, and the
-force-cap bound of ``forces`` (2 v_max per pair push and per containment
-push, plus the pull) skips the cap's norms on ticks where no circle can
-reach f_max. A layout is feasible when the enclosing radius measured about
+skin, and one gravity center. The gravity center and ``integrate_step`` take
+the masses as the instance's ``mass_rows``, (N, 2) rows shaped like the
+positions, and the gravity center divides by the 0-d ``total_mass``, so
+neither broadcasts an (N, 1) column. The contacts, far edges and gravity
+center serve the evaluation that judges the layout and the forces of the
+next iteration. There the contacts select the pair pushes, the far edges
+the containment push, and the force-cap bound of ``forces`` (2 v_max per
+pair push and per containment push, plus the pull) skips the cap's norms
+on ticks where no circle can reach f_max. A layout is feasible when the enclosing radius measured about
 its own gravity center fits the target and its total overlap is inside
 tolerance. The evaluation runs in this order, each step only when the ones
 before leave the verdict open: contacts, far edges and gravity center, the
@@ -106,7 +109,7 @@ def _evaluate(
     # comparison and falls through to enclosing_radius, and a NaN radius
     # fails the radius test.
     contacts, edges = neighbours.layout(positions)
-    cg = center_of_gravity(positions, instance.masses, instance.total_mass)
+    cg = center_of_gravity(positions, instance.mass_rows, instance.total_mass)
     cgv = cg_offset(cg)
     if contacts.d.shape[0]:
         gap = contacts.reach - contacts.d
@@ -163,7 +166,7 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
     positions, velocities, schedule = initial_state(instance, hp)
     overlap_tol = overlap_tolerance(instance)
     certain_depth = certain_overlap_depth(instance)
-    masses = instance.masses
+    masses = instance.mass_rows
     neighbours = NeighbourList(instance.radii, hp.v_max * hp.dt)
     contacts, cg, cgv, edges, *_ = _evaluate(
         positions, instance, schedule.target_radius, overlap_tol, certain_depth, neighbours

@@ -16,12 +16,21 @@ import math
 import numpy as np
 
 
+# The in-place hit test's block size: the hit count does not depend on it,
+# and blocks of 8 192 to 131 072 samples time within 20% of each other.
+_BLOCK = 32_768
+
+
 def mc_lens_area(d, r_a, r_b, n_samples=10_000_000, seed=0, chunk=2_500_000):
     """Monte-Carlo estimate of the overlap area of disks at (0,0) and (d,0).
 
     Samples uniformly over the tight bounding box of the lens itself, so the
     hit fraction stays around 0.6-0.8 in every regime (thin slivers included)
     and 1e7 samples give roughly 2.5e-4 relative sigma.
+
+    Each chunk draws ``chunk`` x samples, then as many y samples, into two
+    preallocated buffers; the hit test then runs in place over blocks of
+    ``_BLOCK`` samples, so no temporary is larger than a block.
     """
     if d >= r_a + r_b:
         return 0.0
@@ -43,14 +52,35 @@ def mc_lens_area(d, r_a, r_b, n_samples=10_000_000, seed=0, chunk=2_500_000):
 
     box_area = (x_hi - x_lo) * 2.0 * y_max
     rng = np.random.default_rng(seed)
+    width, height = x_hi - x_lo, 2.0 * y_max
+    r_a_sq, r_b_sq = r_a * r_a, r_b * r_b
     hits = 0
     left = int(n_samples)
+    xs, ys = np.empty(min(chunk, left)), np.empty(min(chunk, left))
+    yy, sq, in_a, in_b = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK, bool), np.empty(_BLOCK, bool)
     while left > 0:
         k = min(chunk, left)
-        x = x_lo + (x_hi - x_lo) * rng.random(k)
-        y = -y_max + 2.0 * y_max * rng.random(k)
-        inside = (x * x + y * y <= r_a * r_a) & ((x - d) ** 2 + y * y <= r_b * r_b)
-        hits += int(np.count_nonzero(inside))
+        rng.random(k, out=xs[:k])
+        rng.random(k, out=ys[:k])
+        for start in range(0, k, _BLOCK):
+            m = min(_BLOCK, k - start)
+            # x = x_lo + width * u and y = -y_max + height * u, then the test
+            # x^2 + y^2 <= r_a^2 and (x - d)^2 + y^2 <= r_b^2.
+            x, y = xs[start : start + m], ys[start : start + m]
+            x *= width
+            x += x_lo
+            y *= height
+            y -= y_max
+            np.multiply(y, y, out=yy[:m])
+            np.multiply(x, x, out=sq[:m])
+            sq[:m] += yy[:m]
+            np.less_equal(sq[:m], r_a_sq, out=in_a[:m])
+            x -= d
+            np.multiply(x, x, out=sq[:m])
+            sq[:m] += yy[:m]
+            np.less_equal(sq[:m], r_b_sq, out=in_b[:m])
+            in_a[:m] &= in_b[:m]
+            hits += int(np.count_nonzero(in_a[:m]))
         left -= k
     return box_area * hits / n_samples
 

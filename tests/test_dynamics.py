@@ -11,10 +11,16 @@ def state_of(positions, velocities=None):
     return p, v
 
 
+def rows_of(masses):
+    # Masses as integrate_step takes them, ProblemInstance.mass_rows' shape.
+    m = np.asarray(masses, dtype=float)
+    return np.stack((m, m), axis=1)
+
+
 def test_single_step_from_rest():
     state = state_of([[1.0, 1.0]])
     forces = np.array([[4.0, 0.0]])
-    positions, velocities = integrate_step(*state, forces, np.array([2.0]), Hyperparameters(v_max=5.0, dt=1.0))
+    positions, velocities = integrate_step(*state, forces, rows_of([2.0]), Hyperparameters(v_max=5.0, dt=1.0))
     assert velocities.tolist() == [[2.0, 0.0]]
     assert positions.tolist() == [[3.0, 1.0]]
 
@@ -26,7 +32,7 @@ def test_position_moves_by_the_updated_velocity():
         n = int(rng.integers(1, 12))
         state = state_of(rng.uniform(-5, 5, (n, 2)), rng.uniform(-2, 2, (n, 2)))
         forces = rng.uniform(-10, 10, (n, 2))
-        masses = rng.uniform(0.5, 10.0, n)
+        masses = rows_of(rng.uniform(0.5, 10.0, n))
         positions, velocities = integrate_step(*state, forces, masses, hp)
         assert np.array_equal(positions, state[0] + velocities * hp.dt)
 
@@ -34,7 +40,7 @@ def test_position_moves_by_the_updated_velocity():
 def test_speed_clamp_preserves_direction():
     state = state_of([[0.0, 0.0]])
     hp = Hyperparameters(v_max=5.0, dt=1.0)
-    _, velocities = integrate_step(*state, np.array([[30.0, 40.0]]), np.array([1.0]), hp)
+    _, velocities = integrate_step(*state, np.array([[30.0, 40.0]]), rows_of([1.0]), hp)
     speed = np.hypot(*velocities[0])
     assert speed == pytest.approx(hp.v_max, rel=1e-12)
     assert velocities[0] == pytest.approx([3.0, 4.0], rel=1e-12)
@@ -45,7 +51,7 @@ def test_speeds_never_exceed_v_max():
     hp = Hyperparameters(v_max=2.0, dt=1.0)
     n = 8
     state = state_of(rng.uniform(-3, 3, (n, 2)))
-    masses = rng.uniform(0.5, 3.0, n)
+    masses = rows_of(rng.uniform(0.5, 3.0, n))
     for _ in range(100):
         forces = rng.uniform(-50, 50, (n, 2))
         state = integrate_step(*state, forces, masses, hp)
@@ -56,7 +62,7 @@ def test_speeds_never_exceed_v_max():
 def test_below_cap_velocities_are_untouched():
     state = state_of([[0.0, 0.0]], [[0.5, 0.5]])
     hp = Hyperparameters(v_max=5.0, dt=1.0)
-    _, velocities = integrate_step(*state, np.array([[1.0, -1.0]]), np.array([1.0]), hp)
+    _, velocities = integrate_step(*state, np.array([[1.0, -1.0]]), rows_of([1.0]), hp)
     assert np.array_equal(velocities, np.array([[1.5, -0.5]]))
 
 
@@ -65,7 +71,7 @@ def test_integration_is_deterministic_and_pure():
     state = state_of(rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (5, 2)))
     before = [array.copy() for array in state]
     forces = rng.uniform(-5, 5, (5, 2))
-    masses = rng.uniform(1, 4, 5)
+    masses = rows_of(rng.uniform(1, 4, 5))
     hp = Hyperparameters()
     a = integrate_step(*state, forces, masses, hp)
     b = integrate_step(*state, forces, masses, hp)
@@ -79,4 +85,16 @@ def test_speed_overflow_is_rejected():
     state = state_of([[0.0, 0.0], [1.0, 0.0]])
     forces = np.array([[1e200, 1e200], [0.0, 0.0]])
     with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="speed overflowed"):
-        integrate_step(*state, forces, np.ones(2), Hyperparameters())
+        integrate_step(*state, forces, rows_of(np.ones(2)), Hyperparameters())
+
+
+def test_masses_must_be_shaped_like_the_forces():
+    # At N = 2 an (N,) mass array would divide a (2, 2) force array along
+    # the coordinates, with no broadcast error: a = (F_0x / m_0, F_0y / m_1).
+    state = state_of([[0.0, 0.0], [1.0, 0.0]])
+    forces = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for masses in (np.array([1.0, 2.0]), np.ones((2, 1)), np.ones((1, 2)), np.ones((3, 2))):
+        with pytest.raises(InvalidInputError, match="do not match forces"):
+            integrate_step(*state, forces, masses, Hyperparameters())
+    _, velocities = integrate_step(*state, forces, rows_of([1.0, 2.0]), Hyperparameters(v_max=5.0))
+    assert velocities.tolist() == [[1.0, 2.0], [1.5, 2.0]]

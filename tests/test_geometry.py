@@ -169,6 +169,14 @@ def test_lens_rejects_bad_disks():
         disk(math.nan, 0, 1.0)
     with pytest.raises(InvalidInputError):
         disk(0, math.inf, 1.0)
+    # A bool or a string is no length, though the float conversion reads one.
+    for radius in (True, np.True_, "1", b"1"):
+        with pytest.raises(InvalidInputError):
+            disk(0, 0, radius)
+    with pytest.raises(InvalidInputError):
+        disk(True, 0, 1.0)
+    with pytest.raises(InvalidInputError):
+        disk(0, "2", 1.0)
 
 
 def test_total_overlap_sums_pairwise_lens_areas():
@@ -286,6 +294,58 @@ def test_a_cached_total_mass_gives_the_same_gravity_center_bits():
         assert inst.total_mass == float(np.sum(inst.masses))
         cached = center_of_gravity(positions, inst.masses, inst.total_mass)
         assert cached.tobytes() == center_of_gravity(positions, inst.masses).tobytes()
+        # The solver's form: masses as (N, 2) rows, with the cached total.
+        rows = center_of_gravity(positions, inst.mass_rows, inst.total_mass)
+        assert rows.tobytes() == cached.tobytes()
+        assert center_of_gravity(positions, inst.mass_rows).tobytes() == cached.tobytes()
+
+
+def test_center_of_gravity_checks_mass_rows():
+    positions = np.array([[0.0, 0.0], [2.0, 0.0]])
+    for masses in (np.ones((2, 1)), np.ones((1, 2)), np.ones((3, 2)), np.ones((2, 3))):
+        with pytest.raises(InvalidInputError):
+            center_of_gravity(positions, masses)
+    with pytest.raises(InvalidInputError):
+        center_of_gravity(positions, np.zeros((2, 2)))
+    with pytest.raises(InvalidInputError):
+        center_of_gravity(np.empty((0, 2)), np.empty((0, 2)))
+    # Rows whose columns differ weight x and y by different masses.
+    for masses in ([[1.0, 1.0], [1.0, 3.0]], np.array([[1.0, 1.0], [1.0, 3.0]])):
+        with pytest.raises(InvalidInputError, match="both columns"):
+            center_of_gravity([[0.0, 0.0], [2.0, 2.0]], masses)
+
+
+BAD_ELEMENTS = (True, np.True_, "1", b"1")
+
+
+@pytest.mark.parametrize("bad", BAD_ELEMENTS)
+def test_checked_entries_reject_bools_and_strings(bad):
+    # As ProblemInstance does: the float conversion alone would read True
+    # as 1 and "1" as the number it spells.
+    points = [[0.0, 0.0], [1.0, 0.0]]
+    for call in (
+        lambda: enclosing_radius(points, [1.0, bad]),
+        lambda: enclosing_radius([[0.0, bad], [1.0, 0.0]], [1.0, 1.0]),
+        lambda: enclosing_radius(points, [1.0, 1.0], center=(0.0, bad)),
+        lambda: center_of_gravity(points, [bad, 3.0]),
+        lambda: center_of_gravity([[bad, 0.0], [2.0, 0.0]], [1.0, 3.0]),
+        lambda: total_overlap(points, [bad, 1.0]),
+        lambda: contact_pairs([[0.0, 0.0], [bad, 0.0]], [1.0, 1.0]),
+    ):
+        with pytest.raises(InvalidInputError):
+            call()
+    # The same, in NumPy arrays of bools and strings.
+    with pytest.raises(InvalidInputError):
+        center_of_gravity(points, np.array([True, True]))
+    with pytest.raises(InvalidInputError):
+        enclosing_radius(points, np.array(["1", "1"]))
+
+
+def test_checked_entries_still_take_numbers_of_any_type():
+    points = [[0, 0], [np.float32(2.0), 0]]
+    assert center_of_gravity(points, [1, np.int64(3)]).tolist() == [1.5, 0.0]
+    assert enclosing_radius(points, np.array([1, 1], dtype=np.int32)) == 3.0
+    assert enclosing_radius(np.array(points, dtype=np.float32), [1.0, 1.0], center=[1, 0]) == 2.0
 
 
 def test_enclosing_radius_single_circle():

@@ -46,6 +46,17 @@ PINNED = {
     "II2-3.csv": "d3970fc151d436bb672f86db52d7dd5879b5028853435242c54546a20631c1c9",
 }
 
+# c07's unit pair (tests/test_acceptance.py) as an instance file, solved at
+# the default hyperparameters and budget, seed 0: the one pinned swarm below
+# N = 10. At N = 2 an (N,) mass array would broadcast against the (2, 2)
+# forces without an error; integrate_step's shape check rejects it
+# (tests/test_dynamics.py), and this pin holds the rest of a 2-circle run.
+UNIT_PAIR_FILE = "unitpair 2\n1 1\n1 1\n"
+UNIT_PAIR_PINNED = {
+    "unitpair.json": "5d9b8063351c60d827ae1d17841259ad947013147f99c6d3e798c24e2a6ba095",
+    "unitpair.csv": "ac626d3b09cd58b97eccf39fdf2b4187311f09ab9349dd7d53f46a84debd8462",
+}
+
 
 pinned_host = pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64")
@@ -76,3 +87,14 @@ def test_solve_outputs_match_the_pinned_digests(tmp_path):
 @pinned_host
 def test_ii2_outputs_match_the_pinned_digests(tmp_path):
     assert_runs_match_the_pins(tmp_path, II2_RUNS)
+
+
+@pinned_host
+def test_unit_pair_outputs_match_the_pinned_digests(tmp_path):
+    source = tmp_path / "unitpair.txt"
+    source.write_text(UNIT_PAIR_FILE)
+    stem = tmp_path / "unitpair"
+    code = main(["solve", str(source), "--seed", "0", "--out-json", f"{stem}.json", "--trace-csv", f"{stem}.csv"])
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in UNIT_PAIR_PINNED}
+    assert digests == UNIT_PAIR_PINNED, f"numpy {np.__version__}, libc {platform.libc_ver()}"
