@@ -235,9 +235,10 @@ class NeighbourList:
         """Bitwise ``(contact_pairs(p, radii), far_edges(p, radii))``, without their checks.
 
         ``p`` is a non-empty (N, 2) float array, as ``solve`` passes on
-        every layout; ``contact_pairs`` and ``far_edges`` are the checked
-        entries. One stacked array holds the rows p, the moves p - anchor
-        since the last rebuild and the candidates' differences p_j - p_i.
+        every layout; ``contact_pairs`` is the checked entry and
+        ``far_edges`` the unchecked reference. One stacked array holds the
+        rows p, the moves p - anchor since the last rebuild and the
+        candidates' differences p_j - p_i.
         One square, add and sqrt over it give the origin distances, the
         squared moves of the skin check and the center distances, each
         element rounded as ``row_norms`` rounds it in an array of its own.
@@ -359,7 +360,9 @@ def far_edges(positions, radii) -> FarEdges:
     """The FarEdges of a layout about the origin.
 
     ``positions`` is a non-empty (N, 2) float array and ``radii`` an (N,)
-    one; no checks, as the solver calls this on every layout.
+    one, unchecked. This is the reference that ``NeighbourList.layout``'s
+    far edges must equal bitwise; c09 and the tests call it, the solver
+    does not.
     """
     dist = row_norms(positions)
     far = dist + radii

@@ -13,9 +13,18 @@ from .schedule import ContainerSchedule
 INITIAL_OCCUPATION = 0.15
 
 
-def initial_container_radius(instance: ProblemInstance) -> float:
+def container_bounds(instance: ProblemInstance) -> tuple[float, float]:
+    """The starting radius and the proven floor of the container, from one sum of r^2.
+
+    The circles cover INITIAL_OCCUPATION of the starting container's area.
+    No container radius below the floor ``max(sqrt(sum r^2), r_1 + r_2)``
+    holds the circles without overlap: its area must hold theirs, and its
+    diameter the two largest side by side (r_2 = 0 at N = 1).
+    """
     r = instance.radii
-    return math.sqrt(float(np.sum(r * r)) / INITIAL_OCCUPATION)
+    squares = float((r * r).sum())
+    floor = max(math.sqrt(squares), sum(sorted(r.tolist())[-2:]))
+    return math.sqrt(squares / INITIAL_OCCUPATION), floor
 
 
 def initial_positions(instance: ProblemInstance, container_radius: float, seed: int) -> np.ndarray:
@@ -53,7 +62,10 @@ def initial_positions(instance: ProblemInstance, container_radius: float, seed: 
 def initial_state(
     instance: ProblemInstance, hp: Hyperparameters
 ) -> tuple[np.ndarray, np.ndarray, ContainerSchedule]:
-    """Positions on the Latin-Hypercube scatter, zero velocities, schedule at the 15% radius."""
-    radius = initial_container_radius(instance)
+    """Positions on the Latin-Hypercube scatter, zero velocities, schedule at the 15% radius.
+
+    The schedule is bound to ``hp`` and to the instance's floor.
+    """
+    radius, floor = container_bounds(instance)
     positions = initial_positions(instance, radius, hp.seed)
-    return positions, np.zeros((instance.n, 2)), ContainerSchedule(target_radius=radius)
+    return positions, np.zeros((instance.n, 2)), ContainerSchedule(radius, hp, floor)

@@ -1,4 +1,9 @@
-"""Container-radius schedule: exponential step decay with a stagnation fallback."""
+"""Container-radius schedule: exponential step decay with a stagnation fallback.
+
+One ratchet owns the target: each feasible layout moves it one step below
+that layout's radius, but never below the proven floor of the instance,
+``max(sqrt(sum r^2), r_1 + r_2)``, where no layout can fit.
+"""
 
 from __future__ import annotations
 
@@ -23,26 +28,40 @@ def step_size(t: int, hp: Hyperparameters) -> float:
 
 @dataclass
 class ContainerSchedule:
-    """Mutable ratchet for the container target radius, owned by one run."""
+    """Mutable ratchet for the container target radius, owned by one run.
+
+    Built with the run's hyperparameters and the instance's positive
+    ``floor``. The only state besides the target is the count of
+    consecutive infeasible iterations; stagnation is that count reaching
+    STAGNATION_FRACTION of the budget.
+    """
 
     target_radius: float
+    hp: Hyperparameters
+    floor: float
     stagnation_counter: int = 0
-    stagnation_active: bool = False
 
-    def on_feasible(self, actual_radius: float, t: int, hp: Hyperparameters) -> None:
-        """Ratchet the target below the latest feasible radius.
+    @property
+    def stagnation_active(self) -> bool:
+        return self.stagnation_counter >= STAGNATION_FRACTION * self.hp.n_it
+
+    def on_feasible(self, actual_radius: float, t: int) -> None:
+        """Ratchet the target to ``min(actual, max(actual - step, floor))``.
 
         The step is s_min while stagnation is active, else ``step_size``; the
-        flag still holds its old value here, so the first success after a
+        counter still holds its streak here, so the first success after a
         stagnation episode advances by s_min before the decay curve resumes.
+        A radius already at or below the floor (a layout inside the overlap
+        tolerance can be) becomes the target itself.
         """
-        step = hp.s_min if self.stagnation_active else step_size(t, hp)
-        new_target = actual_radius - step
-        self.target_radius = new_target if new_target > 0.0 else hp.s_min
+        hp = self.hp
+        # stagnation_active, inline: the property would add a call per tick.
+        step = hp.s_min if self.stagnation_counter >= STAGNATION_FRACTION * hp.n_it else step_size(t, hp)
+        target = actual_radius - step
+        if target < self.floor:
+            target = self.floor if self.floor < actual_radius else actual_radius
+        self.target_radius = target
         self.stagnation_counter = 0
-        self.stagnation_active = False
 
-    def on_infeasible(self, hp: Hyperparameters) -> None:
+    def on_infeasible(self) -> None:
         self.stagnation_counter += 1
-        if self.stagnation_counter >= STAGNATION_FRACTION * hp.n_it:
-            self.stagnation_active = True

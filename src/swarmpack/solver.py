@@ -28,9 +28,9 @@ target, and serves the first tick's forces; its verdict is not recorded.
 A layout judged without its overlap still gets its overlap row in the
 history: its contacts are queued and their lens areas computed in batches
 of about OVERLAP_FLUSH_PAIRS pairs, each row bitwise what ``total_overlap``
-gives. Each feasible layout ratchets the target down via the schedule; the
-smallest feasible radius seen is kept, translated so the gravity center
-lands on the origin.
+gives. Each feasible layout ratchets the target down via the schedule, no
+lower than the instance's floor; the smallest feasible radius seen is kept,
+translated so the gravity center lands on the origin.
 """
 
 from __future__ import annotations
@@ -215,9 +215,9 @@ def solve(instance: ProblemInstance, hp: Optional[Hyperparameters] = None) -> So
                     best_radius = radius
                     best_iteration = t
                     best_positions = positions - cg
-                schedule.on_feasible(radius, t, hp)
+                schedule.on_feasible(radius, t)
             else:
-                schedule.on_infeasible(hp)
+                schedule.on_infeasible()
     queued.flush()
 
     return SolveResult(

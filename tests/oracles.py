@@ -16,19 +16,24 @@ import math
 import numpy as np
 
 
-# The in-place hit test's block size: the hit count does not depend on it,
-# and blocks of 8 192 to 131 072 samples time within 20% of each other.
+# Samples per estimate, drawn in chunks of _CHUNK x and then _CHUNK y
+# values; the hit test runs in place over blocks of _BLOCK samples. Each
+# estimate depends on _SAMPLES and _CHUNK (the order of the draws), not on
+# _BLOCK, and blocks of 8 192 to 131 072 samples time within 20% of each
+# other.
+_SAMPLES = 10_000_000
+_CHUNK = 2_500_000
 _BLOCK = 32_768
 
 
-def mc_lens_area(d, r_a, r_b, n_samples=10_000_000, seed=0, chunk=2_500_000):
+def mc_lens_area(d, r_a, r_b, seed=0):
     """Monte-Carlo estimate of the overlap area of disks at (0,0) and (d,0).
 
     Samples uniformly over the tight bounding box of the lens itself, so the
     hit fraction stays around 0.6-0.8 in every regime (thin slivers included)
-    and 1e7 samples give roughly 2.5e-4 relative sigma.
+    and the 1e7 samples give roughly 2.5e-4 relative sigma.
 
-    Each chunk draws ``chunk`` x samples, then as many y samples, into two
+    Each chunk draws ``_CHUNK`` x samples, then as many y samples, into two
     preallocated buffers; the hit test then runs in place over blocks of
     ``_BLOCK`` samples, so no temporary is larger than a block.
     """
@@ -55,11 +60,11 @@ def mc_lens_area(d, r_a, r_b, n_samples=10_000_000, seed=0, chunk=2_500_000):
     width, height = x_hi - x_lo, 2.0 * y_max
     r_a_sq, r_b_sq = r_a * r_a, r_b * r_b
     hits = 0
-    left = int(n_samples)
-    xs, ys = np.empty(min(chunk, left)), np.empty(min(chunk, left))
+    left = _SAMPLES
+    xs, ys = np.empty(_CHUNK), np.empty(_CHUNK)
     yy, sq, in_a, in_b = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK, bool), np.empty(_BLOCK, bool)
     while left > 0:
-        k = min(chunk, left)
+        k = min(_CHUNK, left)
         rng.random(k, out=xs[:k])
         rng.random(k, out=ys[:k])
         for start in range(0, k, _BLOCK):
@@ -82,7 +87,7 @@ def mc_lens_area(d, r_a, r_b, n_samples=10_000_000, seed=0, chunk=2_500_000):
             in_a[:m] &= in_b[:m]
             hits += int(np.count_nonzero(in_a[:m]))
         left -= k
-    return box_area * hits / n_samples
+    return box_area * hits / _SAMPLES
 
 
 def lens_area_by_libm(d, r_a, r_b):
@@ -177,10 +182,9 @@ def cg_force(i, positions, instance, hp):
     return -hp.alpha * ((m[i] / m.sum()) * (cg / norm))
 
 
-def radius_force(i, positions, velocities, instance, container_center, target_radius, hp):
-    """Containment push on circle i; zero while it sits inside the target disk."""
-    c = np.asarray(container_center, dtype=float).reshape(2)
-    delta = c - positions[i]
+def radius_force(i, positions, velocities, instance, target_radius, hp):
+    """Containment push on circle i toward the origin; zero while it sits inside the target disk."""
+    delta = -positions[i]
     dist = math.sqrt(delta[0] * delta[0] + delta[1] * delta[1])
     if dist + instance.radii[i] <= target_radius + 1e-12:
         return np.zeros(2)

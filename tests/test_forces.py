@@ -416,12 +416,12 @@ def test_radius_force_only_acts_outside_the_target():
     inst = make_instance([1.0])
     hp = Hyperparameters(v_max=2.0)
     inside = make_state([[1.0, 1.0]])
-    assert not radius_force(0, *inside, inst, (0.0, 0.0), 5.0, hp).any()
+    assert not radius_force(0, *inside, inst, 5.0, hp).any()
     # Far edge exactly on the boundary still counts as contained.
     on_boundary = make_state([[4.0, 0.0]])
-    assert not radius_force(0, *on_boundary, inst, (0.0, 0.0), 5.0, hp).any()
+    assert not radius_force(0, *on_boundary, inst, 5.0, hp).any()
     outside = make_state([[6.0, 0.0]])
-    force = radius_force(0, *outside, inst, (0.0, 0.0), 5.0, hp)
+    force = radius_force(0, *outside, inst, 5.0, hp)
     assert force == pytest.approx([-2.0, 0.0], abs=1e-6)
 
 
@@ -429,12 +429,12 @@ def test_radius_force_subtracts_velocity_and_respects_center():
     inst = make_instance([1.0])
     hp = Hyperparameters(v_max=2.0)
     moving = make_state([[6.0, 0.0]], [[0.5, -0.25]])
-    force = radius_force(0, *moving, inst, (0.0, 0.0), 5.0, hp)
+    force = radius_force(0, *moving, inst, 5.0, hp)
     assert force == pytest.approx([-2.5, 0.25], abs=1e-6)
     # A circle sitting on the container center has no push direction; only
     # the damping term remains.
-    centered = make_state([[3.0, 3.0]], [[0.5, 0.5]])
-    force = radius_force(0, *centered, inst, (3.0, 3.0), 0.5, hp)
+    centered = make_state([[0.0, 0.0]], [[0.5, 0.5]])
+    force = radius_force(0, *centered, inst, 0.5, hp)
     assert force == pytest.approx([-0.5, -0.5], rel=1e-15)
 
 
@@ -469,7 +469,7 @@ def test_assembly_equals_per_circle_composition():
         for i in range(n):
             contributions = [overlap_force(i, j, *state, inst, hp) for j in range(n) if j != i]
             contributions.append(cg_force(i, state[0], inst, hp))
-            contributions.append(radius_force(i, *state, inst, (0.0, 0.0), target, hp))
+            contributions.append(radius_force(i, *state, inst, target, hp))
             assert np.array_equal(total[i], resultant_force(contributions, hp))
 
 
@@ -502,7 +502,7 @@ def test_containment_is_skipped_only_when_every_circle_is_inside():
         for i in range(n):
             contributions = [overlap_force(i, j, *state, inst, hp) for j in range(n) if j != i]
             contributions.append(cg_force(i, state[0], inst, hp))
-            radius = radius_force(i, *state, inst, (0.0, 0.0), target, hp)
+            radius = radius_force(i, *state, inst, target, hp)
             pushed.append(radius.any())
             contributions.append(radius)
             assert total[i].tobytes() == resultant_force(contributions, hp).tobytes(), name

@@ -51,10 +51,13 @@ PINNED = {
 # N = 10. At N = 2 an (N,) mass array would broadcast against the (2, 2)
 # forces without an error; integrate_step's shape check rejects it
 # (tests/test_dynamics.py), and this pin holds the rest of a 2-circle run.
+# It is also the one pinned run whose target the schedule clamps at the
+# floor max(sqrt(sum r^2), r_1 + r_2) = 2: the pair fits at 1.999917 in
+# iteration 410.
 UNIT_PAIR_FILE = "unitpair 2\n1 1\n1 1\n"
 UNIT_PAIR_PINNED = {
-    "unitpair.json": "5d9b8063351c60d827ae1d17841259ad947013147f99c6d3e798c24e2a6ba095",
-    "unitpair.csv": "ac626d3b09cd58b97eccf39fdf2b4187311f09ab9349dd7d53f46a84debd8462",
+    "unitpair.json": "98fb400c1fcbc9975cbff6853f7f3cca6269ad15e7d407d1208ce5e3b865df5b",
+    "unitpair.csv": "7d3289932ad4b54b4f4ab205fddaf27b0a62b016f7340ad47ca0b39d5481a677",
 }
 
 

@@ -40,32 +40,45 @@ def test_larger_c_decays_faster():
 def test_stagnation_forces_finest_step():
     hp = Hyperparameters(s_max=2.0, s_min=0.01, c=10.0, n_it=500)
     for t in (0, 3, 400):
-        schedule = ContainerSchedule(target_radius=100.0, stagnation_counter=99, stagnation_active=True)
-        schedule.on_feasible(80.0, t, hp)
+        schedule = ContainerSchedule(100.0, hp, 1.0, stagnation_counter=99)
+        assert schedule.stagnation_active
+        schedule.on_feasible(80.0, t)
         assert schedule.target_radius == 80.0 - hp.s_min
 
 
 def test_on_feasible_ratchets_below_actual():
     hp = Hyperparameters(s_max=2.0, s_min=0.01, c=10.0, n_it=500)
-    schedule = ContainerSchedule(target_radius=100.0)
-    schedule.on_feasible(80.0, 0, hp)
+    schedule = ContainerSchedule(100.0, hp, 1.0)
+    schedule.on_feasible(80.0, 0)
     assert schedule.target_radius == 80.0 - hp.s_max
     assert schedule.stagnation_counter == 0
     assert not schedule.stagnation_active
 
 
-def test_on_feasible_clamps_tiny_targets_to_s_min():
+def test_on_feasible_clamps_the_target_at_the_floor():
     hp = Hyperparameters(s_max=2.0, s_min=0.01, c=10.0, n_it=500)
-    schedule = ContainerSchedule(target_radius=1.0)
-    schedule.on_feasible(0.005, 0, hp)
-    assert schedule.target_radius == hp.s_min
+    # A step past the floor stops at the floor.
+    schedule = ContainerSchedule(10.0, hp, 2.0)
+    schedule.on_feasible(3.0, 0)
+    assert schedule.target_radius == 2.0
+    # A step that ends exactly on the floor is taken as it is.
+    schedule = ContainerSchedule(10.0, hp, 2.0)
+    schedule.on_feasible(4.0, 0)
+    assert schedule.target_radius == 2.0
+    # A radius below the floor (a fit inside the overlap tolerance) becomes
+    # the target; the target never rises above the radius it ratchets from.
+    for radius in (1.9999, 2.0):
+        schedule = ContainerSchedule(10.0, hp, 2.0, stagnation_counter=99)
+        schedule.on_feasible(radius, 7)
+        assert schedule.target_radius == radius
+        assert schedule.stagnation_counter == 0
 
 
 def test_recovery_from_stagnation_steps_by_s_min():
     hp = Hyperparameters(s_max=2.0, s_min=0.01, c=10.0, n_it=500)
-    schedule = ContainerSchedule(target_radius=50.0, stagnation_counter=99, stagnation_active=True)
-    schedule.on_feasible(50.0, 3, hp)
-    # The step is computed before the flag clears, so it is the finest one.
+    schedule = ContainerSchedule(50.0, hp, 1.0, stagnation_counter=99)
+    schedule.on_feasible(50.0, 3)
+    # The step is computed before the counter clears, so it is the finest one.
     assert schedule.target_radius == pytest.approx(50.0 - hp.s_min, rel=1e-15)
     assert not schedule.stagnation_active
     assert schedule.stagnation_counter == 0
@@ -75,21 +88,24 @@ def test_stagnation_activates_after_consecutive_failures():
     hp = Hyperparameters(n_it=50)
     threshold = STAGNATION_FRACTION * hp.n_it
     assert threshold == 5.0
-    schedule = ContainerSchedule(target_radius=10.0)
+    schedule = ContainerSchedule(10.0, hp, 1.0)
     for _ in range(4):
-        schedule.on_infeasible(hp)
+        schedule.on_infeasible()
     assert not schedule.stagnation_active
-    schedule.on_infeasible(hp)
+    schedule.on_infeasible()
     assert schedule.stagnation_active
+    # The flag is read from the counter; there is no flag to set.
+    with pytest.raises(AttributeError):
+        schedule.stagnation_active = False
 
 
 def test_feasible_iteration_resets_the_failure_streak():
     hp = Hyperparameters(n_it=50)
-    schedule = ContainerSchedule(target_radius=10.0)
+    schedule = ContainerSchedule(10.0, hp, 1.0)
     for _ in range(4):
-        schedule.on_infeasible(hp)
-    schedule.on_feasible(9.0, 10, hp)
+        schedule.on_infeasible()
+    schedule.on_feasible(9.0, 10)
     for _ in range(4):
-        schedule.on_infeasible(hp)
+        schedule.on_infeasible()
     assert not schedule.stagnation_active
     assert schedule.stagnation_counter == 4

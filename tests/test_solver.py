@@ -6,7 +6,7 @@ import pytest
 from swarmpack import forces, geometry, solver
 from swarmpack.corpus import CORPUS
 from swarmpack.geometry import center_of_gravity, cg_violation, contact_pairs, enclosing_radius, total_overlap
-from swarmpack.init import initial_container_radius
+from swarmpack.init import container_bounds
 from swarmpack.instance_io import format_result_json
 from swarmpack.model import History, Hyperparameters, InvalidInputError, ProblemInstance
 from swarmpack.solver import (
@@ -126,7 +126,7 @@ def test_history_covers_every_iteration_and_starts_at_the_seed_radius():
     result = solve(inst, hp)
     assert [column.shape for column in result.history] == [(120,)] * 4
     assert not np.isnan(result.history.target_radius).any()
-    assert result.history.target_radius[0] == initial_container_radius(inst)
+    assert result.history.target_radius[0] == container_bounds(inst)[0]
     assert np.all(np.diff(result.history.target_radius) <= 0.0)
 
 
@@ -142,6 +142,35 @@ def test_best_tracks_the_smallest_feasible_radius():
     assert result.best_iteration == int(np.flatnonzero(history.actual_radius == radii.min())[0]) + 1
     # A row is feasible only where its radius fits the target in force.
     assert np.all(radii <= history.target_radius[feasible] + FEASIBLE_RADIUS_EPS)
+
+
+def proven_floor(radii):
+    # max(sqrt(sum r^2), r_1 + r_2), r_2 = 0 for one circle; no container
+    # radius below it holds the circles.
+    r = sorted(radii, reverse=True) + [0.0]
+    return max(math.sqrt(math.fsum(x * x for x in r)), r[0] + r[1])
+
+
+def floor_runs():
+    yield ProblemInstance("unitpair", radii=[1.0, 1.0], masses=[1.0, 1.0]), Hyperparameters()
+    yield ProblemInstance("one", radii=[2.0], masses=[4.0]), Hyperparameters(n_it=200, seed=1)
+    rng = np.random.default_rng(32)
+    for seed in range(4):
+        n = int(rng.integers(3, 9))
+        inst = ProblemInstance(f"rand{n}", radii=rng.uniform(0.5, 2.0, n), masses=rng.uniform(1.0, 10.0, n))
+        yield inst, Hyperparameters(n_it=2000, seed=seed)
+
+
+def test_the_target_never_drops_below_the_floor_or_the_best_fit():
+    # Each target ratchets from a feasible radius and stops at the floor,
+    # so row k's target is at least min(floor, best radius of rows < k).
+    # The slack covers the floor's last bits; a step is at least s_min.
+    for inst, hp in floor_runs():
+        history = solve(inst, hp).history
+        best_before = np.concatenate(([np.inf], np.fmin.accumulate(history.actual_radius)[:-1]))
+        bound = np.fmin(best_before, proven_floor(inst.radii.tolist()))
+        low = np.flatnonzero(history.target_radius < bound * (1.0 - 1e-12))
+        assert low.size == 0, f"{inst.name}: target below the bound from iteration {low[:1] + 1}"
 
 
 def test_best_layout_is_centered_and_consistent():
